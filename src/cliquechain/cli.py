@@ -172,8 +172,10 @@ class SystemExit2(Exception):
 
 def cmd_spectrum(args) -> int:
     t0 = time.perf_counter()
+    if args.tol is not None and not args.tol > 0:
+        raise SystemExit2(f"--tol must be positive, got {args.tol}")
     g = _build_graph(args)
-    cls = classify_spectrum(g, tol=args.tol if args.tol else 1e-8)
+    cls = classify_spectrum(g, tol=1e-8 if args.tol is None else args.tol)
     payload = {
         "n": cls.n,
         "family": cls.params,
@@ -221,8 +223,8 @@ def cmd_spectrum(args) -> int:
 
 
 def _params_of(args) -> dict:
-    out = {}
-    for k in ("p", "q", "q1", "q2", "network", "table", "family", "tol", "jobs"):
+    out = {}  # execution flags such as --jobs stay out: they must not change the hash
+    for k in ("p", "q", "q1", "q2", "network", "table", "family", "tol"):
         v = getattr(args, k, None)
         if v is not None:
             out[k] = v

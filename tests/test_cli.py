@@ -156,6 +156,7 @@ class TestSweep:
         _, rep1 = run_json(argv, capsys)
         _, rep2 = run_json(argv + ["--jobs", "4"], capsys)
         assert rep1["payload"] == rep2["payload"]  # rows sorted by parameters
+        assert rep1["input_hash"] == rep2["input_hash"]
 
     def test_unknown_family(self, capsys):
         rc = cli.main(["sweep", "--family", "ring", "--p", "6..8"])
@@ -219,6 +220,9 @@ class TestReportContract:
             ["spectrum", "--q1", "4", "--p", "6"],
             ["reproduce", "--table", "9"],
             ["frobnicate"],
+            ["spectrum", "--p", "6", "--q", "4", "--tol=0"],
+            ["spectrum", "--p", "6", "--q", "4", "--tol=-1e-8"],
+            ["spectrum", "--p", "6", "--q", "4", "--tol=nan"],
         ],
     )
     def test_usage_errors_exit_one(self, capsys, argv):

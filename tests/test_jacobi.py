@@ -1,10 +1,13 @@
-"""Cyclic Jacobi oracle: accuracy, grouping, residuals."""
+"""Round-robin Jacobi oracle: schedule, accuracy, grouping, residuals."""
 
 from __future__ import annotations
+
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cliquechain.jacobi as jacobi
 from cliquechain import (
     build_single_chain,
     build_two_chain,
@@ -57,6 +60,56 @@ def test_trace_identity_and_residuals(graph):
     assert abs(spec.eigenvalues.sum() - tr) <= 1e-9 * tr
     for k in range(graph.n):
         assert residual(L, spec.eigenvalues[k], spec.eigenvectors[:, k]) <= 1e-10
+
+
+@pytest.mark.parametrize("n", range(1, 41))
+def test_round_robin_covers_each_pair_once(n):
+    P, Q = jacobi._round_robin(n)
+    assert P.shape == Q.shape == (n - 1 + n % 2, n // 2)
+    assert np.all(P < Q) and np.all(Q < n)
+    for p, q in zip(P, Q):  # one round: no index twice
+        assert np.unique(np.concatenate([p, q])).size == 2 * p.size
+    pairs = set(zip(P.ravel().tolist(), Q.ravel().tolist()))
+    assert len(pairs) == P.size == n * (n - 1) // 2
+
+
+def _path_laplacian(n: int) -> np.ndarray:
+    L = 2.0 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)
+    L[0, 0] = L[-1, -1] = 1.0
+    return L
+
+
+@pytest.mark.parametrize("n", [100, 101])
+def test_path_graph_spectrum_closed_form(n):
+    spec = eig_sym(_path_laplacian(n))
+    expected = 2.0 - 2.0 * np.cos(np.arange(n - 1, -1, -1) * np.pi / n)
+    assert np.max(np.abs(spec.eigenvalues - expected)) <= 1e-10
+
+
+def test_two_components_skip_whole_rounds():
+    # Two K6 on the two sides of round 0: every pair of that round joins the
+    # components, so its entry is exactly zero in every sweep and the whole
+    # round goes through the skip mask (with equal diagonals, an unmasked
+    # angle would be 0/0).
+    n = 12
+    P, Q = jacobi._round_robin(n)
+    side_a, side_b = P[0], Q[0]
+    L = np.zeros((n, n))
+    for side in (side_a, side_b):
+        L[np.ix_(side, side)] = 6.0 * np.eye(6) - np.ones((6, 6))
+    spec = eig_sym(L)
+    expected = np.array([6.0] * 10 + [0.0] * 2)
+    assert np.max(np.abs(spec.eigenvalues - expected)) <= 1e-12
+    assert spec.multiplicity_of(0.0) == 2
+    assert [g.multiplicity for g in spec.groups] == [10, 2]
+    # no rotation ever mixed the components: each eigenvector lives on one
+    for k in range(n):
+        vec = spec.eigenvectors[:, k]
+        assert np.all(vec[side_a] == 0.0) or np.all(vec[side_b] == 0.0)
+
+
+def test_oracle_is_lapack_free():
+    assert "linalg" not in Path(jacobi.__file__).read_text()
 
 
 def test_eigenvector_sign_deterministic():

@@ -11,8 +11,12 @@ in-clique modes are fixed by scalar conditions in lam:
   factorizes as D = -F_Aq * F_Sq
 
 Each function has exactly one simple zero per localized mode in (p, p+2]
-and no zeros in (4, p]; on (0, 4) the same F_q, rewritten through the
-phase lam = 2 - 2 cos(phi), vanishes at the oscillatory chain eigenvalues.
+and no zeros in (4, p].  On the band (0, 4), F_q written through the phase
+lam = 2 - 2 cos(phi) (``f_one_fin_phase``) has poles; multiplied by its
+denominator it becomes the pole-free H of ``find_chain_roots``, whose zeros
+are exactly the q-1 oscillatory chain eigenvalues.  Both root finders use
+one scan: sample on a fixed grid, pick the cells with a sign change or an
+exact zero, and bisect each.
 """
 
 from __future__ import annotations
@@ -42,6 +46,7 @@ ArrayLike = Union[float, np.ndarray]
 
 _POLE_EPS = 1e-9
 _EDGE_SAMPLES = 4000
+_CHAIN_GRID_PER_UNIT = 40
 _BISECT_MAX_ITER = 200
 DEFAULT_ROOT_TOL = 1e-12
 
@@ -80,16 +85,6 @@ def f_one_fin(lam: ArrayLike, p: int, q: int) -> ArrayLike:
     return val if isinstance(lam, np.ndarray) else float(val)
 
 
-def _f_phase_from_phi(phi: ArrayLike, p: int, q: int, pole_eps: float = _POLE_EPS):
-    phi = np.asarray(phi, dtype=float)
-    lam = 2.0 - 2.0 * np.cos(phi)
-    num = np.cos(phi) + np.cos(2.0 * (q - 1) * phi)
-    den = 1.0 + np.cos((2.0 * q - 1.0) * phi)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        val = (1.0 - lam) * num / den - (p - lam) * (1.0 - lam) + (p - 1.0)
-    return np.where(np.abs(den) < pole_eps, np.nan, val)
-
-
 def f_one_fin_phase(
     lam: ArrayLike, p: int, q: int, pole_eps: float = _POLE_EPS
 ) -> ArrayLike:
@@ -102,7 +97,12 @@ def f_one_fin_phase(
     if np.any((arr <= 0.0) | (arr >= 4.0)):
         raise ValueError(f"f_one_fin_phase requires lam in (0, 4)")
     phi = np.arctan2(np.sqrt(4.0 - (2.0 - arr) ** 2), 2.0 - arr)
-    val = _f_phase_from_phi(phi, p, q, pole_eps)
+    lam_phi = 2.0 - 2.0 * np.cos(phi)
+    num = np.cos(phi) + np.cos(2.0 * (q - 1) * phi)
+    den = 1.0 + np.cos((2.0 * q - 1.0) * phi)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        val = (1.0 - lam_phi) * num / den - (p - lam_phi) * (1.0 - lam_phi) + (p - 1.0)
+    val = np.where(np.abs(den) < pole_eps, np.nan, val)
     return val if isinstance(lam, np.ndarray) else float(val)
 
 
@@ -283,10 +283,7 @@ class RootReport:
     roots: tuple[float, ...]
     brackets: tuple[tuple[float, float], ...]
     iterations: tuple[int, ...]
-    pole_lambdas: tuple[float, ...] = ()
-    unresolved: tuple[tuple[float, float], ...] = ()
     boundary_roots: tuple[float, ...] = ()
-    resonances: tuple[float, ...] = ()  # eigenvalues sitting at poles, not zeros
     expected_count: Optional[int] = None
     anomalies: tuple[str, ...] = ()
     warnings: tuple[str, ...] = ()
@@ -295,7 +292,7 @@ class RootReport:
     def count_matches(self) -> bool:
         if self.expected_count is None:
             return True
-        return len(self.roots) + len(self.resonances) == self.expected_count
+        return len(self.roots) == self.expected_count
 
 
 def _bisect(
@@ -323,11 +320,34 @@ def _bisect(
     return 0.5 * (a + b), it, a, b
 
 
-def find_edge_roots(
-    family: EdgeFamily,
-    tol: float = DEFAULT_ROOT_TOL,
-    samples: int = _EDGE_SAMPLES,
-) -> RootReport:
+def _scan_bisect(
+    f: Callable[[float], float], grid: np.ndarray, vals: np.ndarray, tol: float
+) -> tuple[list[float], list[tuple[float, float]], list[int]]:
+    """Zeros of a continuous f sampled as ``vals`` on the increasing ``grid``.
+
+    A cell whose left sample is exactly zero yields that sample (unless it
+    repeats the previous root); a cell whose samples differ in sign is
+    bisected to width ``tol``.  Returns (roots, brackets, iterations).
+    """
+    va, vb = vals[:-1], vals[1:]
+    roots: list[float] = []
+    brackets: list[tuple[float, float]] = []
+    iters: list[int] = []
+    for i in np.nonzero((va == 0.0) | ((va < 0.0) != (vb < 0.0)))[0]:
+        a = float(grid[i])
+        if va[i] == 0.0:
+            if roots and abs(a - roots[-1]) <= 10 * tol:
+                continue
+            r, it, lo, hi = a, 0, a, a
+        else:
+            r, it, lo, hi = _bisect(f, a, float(grid[i + 1]), float(va[i]), float(vb[i]), tol)
+        roots.append(r)
+        brackets.append((lo, hi))
+        iters.append(it)
+    return roots, brackets, iters
+
+
+def find_edge_roots(family: EdgeFamily, tol: float = DEFAULT_ROOT_TOL) -> RootReport:
     """All zeros of the family characteristic in (p, p+2].
 
     Uniform sign-change scan followed by bisection.  A mismatch against the
@@ -337,36 +357,18 @@ def find_edge_roots(
     lo = max(float(p), 4.0)
     hi = float(p) + 2.0
     span = hi - lo
-    grid = np.empty(samples + 1)
+    grid = np.empty(_EDGE_SAMPLES + 1)
     grid[0] = lo + span * 1e-9
-    grid[1:] = lo + span * np.arange(1, samples + 1) / samples
+    grid[1:] = lo + span * np.arange(1, _EDGE_SAMPLES + 1) / _EDGE_SAMPLES
     vals = np.asarray(family.evaluate(grid))
-
-    f = lambda x: float(family.evaluate(float(x)))
-    roots: list[float] = []
-    brackets: list[tuple[float, float]] = []
-    iters: list[int] = []
-    boundary: list[float] = []
-    for i in range(len(grid) - 1):
-        va, vb = vals[i], vals[i + 1]
-        if va == 0.0:
-            if not roots or abs(grid[i] - roots[-1]) > 10 * tol:
-                roots.append(float(grid[i]))
-                brackets.append((float(grid[i]), float(grid[i])))
-                iters.append(0)
-            continue
-        if (va < 0.0) != (vb < 0.0):
-            r, it, a, b = _bisect(f, float(grid[i]), float(grid[i + 1]), float(va), float(vb), tol)
-            roots.append(r)
-            brackets.append((a, b))
-            iters.append(it)
+    roots, brackets, iters = _scan_bisect(
+        lambda x: float(family.evaluate(x)), grid, vals, tol
+    )
     if vals[-1] == 0.0 and not any(abs(r - hi) <= 10 * tol for r in roots):
         roots.append(hi)
         brackets.append((hi, hi))
         iters.append(0)
-    for r in roots:
-        if abs(r - hi) <= max(tol, 1e-9):
-            boundary.append(r)
+    boundary = [r for r in roots if abs(r - hi) <= max(tol, 1e-9)]
 
     anomalies = []
     if len(roots) != family.expected_roots:
@@ -385,117 +387,53 @@ def find_edge_roots(
     )
 
 
-def find_chain_roots(
-    p: int,
-    q: int,
-    grid_per_unit: int = 40,
-    tol: float = DEFAULT_ROOT_TOL,
-) -> RootReport:
-    """All zeros of the phase form of F_q in the open band (0, 4).
+def _band_h(phi: ArrayLike, p: int, q: int) -> ArrayLike:
+    # F_q times cos((2q-1) phi/2): the same zeros in (0, pi), and no poles
+    phi = np.asarray(phi, dtype=float)
+    lam = 2.0 - 2.0 * np.cos(phi)
+    return (1.0 - lam) * np.cos((q - 1.5) * phi) + (
+        (p - 1.0) - (p - lam) * (1.0 - lam)
+    ) * np.cos((q - 0.5) * phi)
 
-    The scan runs in phi-space with grid_per_unit * (2q-1) samples so every
-    oscillation of cos((2q-1) phi) is resolved; the pole positions are
-    excluded from brackets and reported.
 
-    The graph has q-1 eigenvalues in (0, 4).  Generically they are exactly
-    the zeros found here, with one exception: when q = 2 (mod 3) the value
-    lam = 1 is an eigenvalue whose eigenvector vanishes at the junction
-    (plateau 1, chain pattern 0, -(p-1), -(p-1), 0, ...), and it falls on a
-    pole of the phase form instead of a zero.  Such values are returned in
-    ``resonances``; a zero+resonance count other than q-1 is flagged as an
-    anomaly.
+def find_chain_roots(p: int, q: int, tol: float = DEFAULT_ROOT_TOL) -> RootReport:
+    """The q-1 chain eigenvalues in the open band (0, 4).
+
+    With lam = 2 - 2 cos(phi) and num/den = cos((2q-3) phi/2) / cos((2q-1) phi/2),
+    the phase form of F_q times cos((2q-1) phi/2) is
+
+        H(phi) = (1-lam) cos((2q-3) phi/2) + [(p-1) - (p-lam)(1-lam)] cos((2q-1) phi/2),
+
+    a trigonometric polynomial with no poles.  Its zeros in (0, pi) are
+    exactly the band eigenvalues of K_p + C_q.  They include lam = 1 when
+    q = 2 (mod 3): that eigenvector vanishes at the junction (plateau 1,
+    chain pattern 0, -(p-1), -(p-1), 0, ...), and lam = 1 is then both a
+    pole of F_q and a zero of H.  The scan takes _CHAIN_GRID_PER_UNIT
+    samples per oscillation of cos((2q-1) phi); a count other than q-1 is
+    flagged as an anomaly.
     """
     if p < 3:
         raise ValueError(f"p must be >= 3, got {p}")
     if q < 2:
         raise ValueError(f"q must be >= 2, got {q}")
-    n_samples = grid_per_unit * (2 * q - 1)
+    n_samples = _CHAIN_GRID_PER_UNIT * (2 * q - 1)
     phis = np.pi * np.arange(1, n_samples + 1) / (n_samples + 1)
-    vals = _f_phase_from_phi(phis, p, q)
-    pole_phis = (2 * np.arange(q - 1) + 1) * np.pi / (2 * q - 1)
-
-    def fphi(x: float) -> float:
-        return float(_f_phase_from_phi(x, p, q))
-
-    roots_phi: list[float] = []
-    brackets: list[tuple[float, float]] = []
-    iters: list[int] = []
-    unresolved: list[tuple[float, float]] = []
-
-    def add_root(a: float, b: float, fa: float, fb: float) -> None:
-        r, it, ra, rb = _bisect(fphi, a, b, fa, fb, tol / 2.0)
-        if math.isnan(fphi(r)):
-            unresolved.append((2.0 - 2.0 * math.cos(ra), 2.0 - 2.0 * math.cos(rb)))
-            return
-        roots_phi.append(r)
-        brackets.append((2.0 - 2.0 * math.cos(ra), 2.0 - 2.0 * math.cos(rb)))
-        iters.append(it)
-
-    for i in range(n_samples - 1):
-        va, vb = vals[i], vals[i + 1]
-        if np.isnan(va) or np.isnan(vb):
-            continue
-        lo_idx = np.searchsorted(pole_phis, phis[i], side="right")
-        if lo_idx < len(pole_phis) and pole_phis[lo_idx] < phis[i + 1]:
-            continue  # pole inside the cell: the sign flip there is not a root
-        if va == 0.0:
-            roots_phi.append(float(phis[i]))
-            brackets.append((2 - 2 * math.cos(phis[i]),) * 2)
-            iters.append(0)
-        elif (va < 0.0) != (vb < 0.0):
-            add_root(float(phis[i]), float(phis[i + 1]), float(va), float(vb))
-
-    # a root can hide right next to a pole inside the same grid cell: the
-    # flanking samples then agree in sign and the plain scan misses it
-    cell = np.pi / (n_samples + 1)
-    delta = min(1e-7 / (2 * q - 1), cell / 64.0)
-    for pp in pole_phis:
-        for side in (-1.0, 1.0):
-            a = pp + side * delta
-            if not 0.0 < a < np.pi:
-                continue
-            fa = fphi(a)
-            if math.isnan(fa):
-                continue
-            b = pp + side * cell
-            b = min(max(b, 1e-12), np.pi - 1e-12)
-            fb = fphi(b)
-            if math.isnan(fb):
-                continue
-            if (fa < 0.0) != (fb < 0.0):
-                lo_, hi_ = (a, b) if a < b else (b, a)
-                fl, fh = (fa, fb) if a < b else (fb, fa)
-                r, it, ra, rb = _bisect(fphi, lo_, hi_, fl, fh, tol / 2.0)
-                if any(abs(r - existing) < 10 * cell * tol + 1e-10 for existing in roots_phi):
-                    continue
-                roots_phi.append(r)
-                brackets.append((2.0 - 2.0 * math.cos(ra), 2.0 - 2.0 * math.cos(rb)))
-                iters.append(it)
-
-    order = np.argsort(roots_phi)
-    lam_roots = tuple(2.0 - 2.0 * math.cos(roots_phi[k]) for k in order)
-    # lam = 1 with a junction-silent eigenvector: the chain pattern
-    # 0, s, s, 0, -s, -s, ... meets the free-end condition iff q = 2 (mod 3)
-    resonances = (1.0,) if q % 3 == 2 else ()
+    roots_phi, brackets_phi, iters = _scan_bisect(
+        lambda x: float(_band_h(x, p, q)), phis, _band_h(phis, p, q), tol / 2.0
+    )
+    to_lam = lambda x: 2.0 - 2.0 * math.cos(x)
+    lam_roots = tuple(to_lam(x) for x in roots_phi)
     expected = q - 1
     anomalies = []
-    if len(lam_roots) + len(resonances) != expected:
+    if len(lam_roots) != expected:
         anomalies.append(
             f"chain scan p={p}, q={q}: expected {expected} band eigenvalues, "
-            f"found {len(lam_roots)} zeros at {list(lam_roots)} plus "
-            f"{len(resonances)} pole resonance(s)"
-        )
-    if unresolved:
-        anomalies.append(
-            f"chain scan p={p}, q={q}: {len(unresolved)} unresolved interval(s) near poles"
+            f"found {len(lam_roots)} at {list(lam_roots)}"
         )
     return RootReport(
         roots=lam_roots,
-        brackets=tuple(brackets[k] for k in order),
-        iterations=tuple(iters[k] for k in order),
-        pole_lambdas=tuple(float(x) for x in chain_pole_lambdas(q)),
-        unresolved=tuple(unresolved),
-        resonances=resonances,
+        brackets=tuple((to_lam(a), to_lam(b)) for a, b in brackets_phi),
+        iterations=tuple(iters),
         expected_count=expected,
         anomalies=tuple(anomalies),
     )

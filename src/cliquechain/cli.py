@@ -13,7 +13,6 @@ import io
 import json
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
@@ -223,7 +222,7 @@ def cmd_spectrum(args) -> int:
 
 
 def _params_of(args) -> dict:
-    out = {}  # execution flags such as --jobs stay out: they must not change the hash
+    out = {}
     for k in ("p", "q", "q1", "q2", "network", "table", "family", "tol"):
         v = getattr(args, k, None)
         if v is not None:
@@ -434,27 +433,17 @@ _SWEEP_COLUMNS = {
 def cmd_sweep(args) -> int:
     t0 = time.perf_counter()
     ps = _parse_range(args.p_range)
+    # rows come out ordered by (p, q): both ranges ascend
     if args.family == "one-finite":
         qs = _parse_range(args.q_range or "4..8")
-        tasks = [(p, q) for p in ps for q in qs]
-        worker = lambda t: _sweep_one_finite(*t)
+        rows = [_sweep_one_finite(p, q) for p in ps for q in qs]
     elif args.family == "two-finite-equal":
         qs = _parse_range(args.q_range or "4..6")
-        tasks = [(p, q) for p in ps for q in qs]
-        worker = lambda t: _sweep_two_finite_equal(*t)
+        rows = [_sweep_two_finite_equal(p, q) for p in ps for q in qs]
     elif args.family == "one-infinite":
-        tasks = [(p,) for p in ps]
-        worker = lambda t: _sweep_one_infinite(*t)
+        rows = [_sweep_one_infinite(p) for p in ps]
     else:
         raise SystemExit2(f"unknown sweep family {args.family!r}")
-
-    jobs = max(1, args.jobs or 1)
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as ex:
-            rows = list(ex.map(worker, tasks))
-    else:
-        rows = [worker(t) for t in tasks]
-    rows.sort(key=lambda r: (r["p"], r.get("q", 0)))
 
     payload = {
         "family": args.family,
@@ -602,7 +591,6 @@ def _add_common(sp) -> None:
     sp.add_argument("--out", help="write the report to this path instead of stdout")
     sp.add_argument("--format", choices=("json", "csv"), default="json")
     sp.add_argument("--tol", type=float, default=None, help="matching tolerance")
-    sp.add_argument("--jobs", type=int, default=1, help="concurrent sweep workers")
 
 
 def build_parser() -> argparse.ArgumentParser:

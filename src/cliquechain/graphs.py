@@ -461,13 +461,12 @@ def build_network(spec: CliqueNetworkSpec) -> GraphSpec:
 def laplacian(g: GraphSpec) -> np.ndarray:
     """Dense graph Laplacian: degree on the diagonal, -1 on edges.
 
-    Built in integer arithmetic, returned as float64; row sums are
+    Every entry is a small integer held exactly in float64, so row sums are
     exactly zero.
     """
-    L = np.zeros((g.n, g.n), dtype=np.int64)
-    for i, j in g.edges:
-        L[i, j] -= 1
-        L[j, i] -= 1
-        L[i, i] += 1
-        L[j, j] += 1
-    return L.astype(float)
+    L = np.zeros((g.n, g.n))
+    if g.edges:
+        i, j = np.array(tuple(g.edges)).T
+        L[i, j] = L[j, i] = -1.0
+    np.fill_diagonal(L, -L.sum(axis=1))
+    return L

@@ -465,15 +465,12 @@ def classify_spectrum(g: GraphSpec, tol: float = MATCH_TOL) -> SpectralClassific
         p, q = g.params["p"], g.params["q"]
         rep = find_chain_roots(p, q)
         anomalies.extend(rep.anomalies)
-        for r in rep.resonances:
+        if any(abs(r - 1.0) <= tol for r in rep.roots):
             warnings.append(
-                f"chain eigenvalue {r} has a junction-silent eigenvector and "
-                f"sits on a pole of the phase form (q = 2 mod 3)"
+                "chain eigenvalue 1.0 has a junction-silent eigenvector and "
+                "sits on a pole of the phase form (q = 2 mod 3)"
             )
-        matched = _match_values(
-            sorted(chain_values), rep.roots + rep.resonances, tol
-        )
-        for v, r in matched:
+        for v, r in _match_values(sorted(chain_values), rep.roots, tol):
             if r is None:
                 anomalies.append(
                     f"chain eigenvalue {v} has no matching phase-form zero"

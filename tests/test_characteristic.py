@@ -139,23 +139,41 @@ class TestPhaseForm:
 
     @pytest.mark.parametrize("p,q", [(8, 5), (6, 8), (5, 11)])
     def test_junction_silent_resonance(self, p, q):
-        # for q = 2 (mod 3) the value 1 is an exact eigenvalue sitting on a
-        # pole of the phase form; the scan reports it separately from zeros
+        # for q = 2 (mod 3) the value 1 is an exact eigenvalue whose
+        # eigenvector vanishes at the junction; it sits on a pole of the
+        # phase form, but it is an ordinary zero of the pole-free scan
         rep = find_chain_roots(p, q)
-        assert rep.resonances == (1.0,)
-        assert len(rep.roots) == q - 2
+        assert len(rep.roots) == q - 1
+        assert min(abs(r - 1.0) for r in rep.roots) < 1e-12
         assert rep.count_matches and rep.anomalies == ()
-        evals = eig_sym(laplacian(build_single_chain(p, q))).eigenvalues
-        assert np.min(np.abs(evals - 1.0)) < 1e-12
-        # 1.0 is a pole location, so it must not appear among the zeros
-        assert all(abs(r - 1.0) > 1e-6 for r in rep.roots)
-        assert any(abs(pl - 1.0) < 1e-12 for pl in rep.pole_lambdas)
+        assert np.max(np.abs(np.array(rep.roots) - _band_eigenvalues(p, q))) < 1e-9
+        assert np.min(np.abs(chain_pole_lambdas(q) - 1.0)) < 1e-12
 
     @pytest.mark.parametrize("p,q", [(6, 4), (8, 3), (6, 10)])
     def test_no_resonance_off_the_residue_class(self, p, q):
         rep = find_chain_roots(p, q)
-        assert rep.resonances == ()
         assert len(rep.roots) == q - 1
+        assert all(abs(r - 1.0) > 1e-6 for r in rep.roots)
+
+    @pytest.mark.parametrize(
+        "p,q",
+        [(12, 8), (20, 20), (30, 3), (60, 60)]
+        + [(p, q) for p in (3, 4, 5) for q in (6, 7, 8)],
+    )
+    def test_every_band_eigenvalue_found(self, p, q):
+        # zeros next to a pole of the phase form are found like any other
+        rep = find_chain_roots(p, q)
+        assert rep.anomalies == ()
+        assert len(rep.roots) == q - 1
+        assert np.max(np.abs(np.array(rep.roots) - _band_eigenvalues(p, q))) < 1e-9
+
+
+def _band_eigenvalues(p, q):
+    """Oracle chain eigenvalues of K_p + C_q: the spectrum without the zero
+    mode, the p-2 clique modes at p and the one edge eigenvalue above 4."""
+    evals = np.sort(eig_sym(laplacian(build_single_chain(p, q))).eigenvalues)
+    clique = np.argsort(np.abs(evals - p), kind="stable")[: p - 2]
+    return np.delete(evals, clique)[1:-1]
 
 
 class TestQFactor:

@@ -60,6 +60,14 @@ class TestSpectrum:
         capsys.readouterr()
         assert rc == 1
 
+    def test_long_chain_exits_zero(self, capsys):
+        # every band eigenvalue has a matching phase-form zero, also where
+        # zeros crowd the poles
+        rc, rep = run_json(["spectrum", "--p", "60", "--q", "60"], capsys)
+        assert rc == 0
+        assert len(rep["payload"]["chain"]) == 59
+        assert rep["anomalies"] == []
+
     def test_two_chain_labels(self, capsys):
         rc, rep = run_json(["spectrum", "--q1", "4", "--p", "6", "--q2", "4"], capsys)
         assert rc == 0
@@ -151,13 +159,6 @@ class TestSweep:
         # decays at least as fast as 1/p (in fact faster: the 1/p terms cancel)
         assert fit["fitted_exponent"] >= 0.8
 
-    def test_jobs_do_not_change_payload(self, capsys):
-        argv = ["sweep", "--family", "one-finite", "--p", "6..8", "--q", "4..5"]
-        _, rep1 = run_json(argv, capsys)
-        _, rep2 = run_json(argv + ["--jobs", "4"], capsys)
-        assert rep1["payload"] == rep2["payload"]  # rows sorted by parameters
-        assert rep1["input_hash"] == rep2["input_hash"]
-
     def test_unknown_family(self, capsys):
         rc = cli.main(["sweep", "--family", "ring", "--p", "6..8"])
         capsys.readouterr()
@@ -185,6 +186,16 @@ class TestBoundsAndModes:
         assert len(payload["chain_modes"]) == 3
         assert payload["edge_modes"][0]["residual"] <= 1e-9
         assert all(m["residual"] <= 1e-9 for m in payload["chain_modes"])
+
+    def test_modes_junction_silent(self, capsys):
+        # q = 2 (mod 3): the chain mode at lam = 1 vanishes at the junction
+        rc, rep = run_json(["modes", "--p", "8", "--q", "5"], capsys)
+        assert rc == 0
+        modes = rep["payload"]["chain_modes"]
+        assert len(modes) == 4
+        (silent,) = [m for m in modes if abs(m["lambda"] - 1.0) < 1e-9]
+        assert abs(silent["profile"][7]) < 1e-9  # junction, after 7 clique sites
+        assert silent["residual"] <= 1e-9
 
 
 class TestReportContract:

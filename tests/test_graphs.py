@@ -216,6 +216,29 @@ def test_k3_laplacian():
     assert np.array_equal(L, np.array([[2, -1, -1], [-1, 2, -1], [-1, -1, 2]], float))
 
 
+def test_laplacian_matches_edge_loop():
+    # reference: degree and -1 entries accumulated edge by edge in integers
+    graphs = [build_single_chain(p, q) for p, q in [(3, 2), (6, 4), (12, 9)]]
+    graphs += [build_two_chain(3, 7, 5), build_network(TestNetwork().k10_spec())]
+    graphs.append(
+        build_network(
+            CliqueNetworkSpec(
+                cliques=(CliqueDef("A", 5), CliqueDef("B", 6)),
+                links=(LinkDef("A", 0, 3, to_clique="B", to_vertex=2),),
+            )
+        )
+    )
+    for g in graphs:
+        ref = np.zeros((g.n, g.n), dtype=np.int64)
+        for i, j in g.edges:
+            ref[i, j] = ref[j, i] = -1
+            ref[i, i] += 1
+            ref[j, j] += 1
+        L = laplacian(g)
+        assert L.dtype == np.float64
+        assert L.tobytes() == ref.astype(float).tobytes()
+
+
 def test_graphspec_immutable():
     g = build_single_chain(5, 3)
     with pytest.raises(dataclasses.FrozenInstanceError):

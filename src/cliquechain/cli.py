@@ -37,6 +37,7 @@ from .graphs import (
 )
 from .jacobi import eig_sym, residual
 from .modes import (
+    MATCH_TOL,
     chain_mode,
     classify_spectrum,
     clique_modes,
@@ -568,7 +569,8 @@ def cmd_modes(args) -> int:
         payload["chain_modes"].append(
             {
                 "lambda": r,
-                "junction_ratio": junction_ratio(r),
+                # null for the junction-silent mode, whose ratio is 1/round-off
+                "junction_ratio": None if abs(1.0 - r) <= MATCH_TOL else junction_ratio(r),
                 "profile": list(v),
                 "residual": residual(L, r, v),
             }

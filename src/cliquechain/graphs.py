@@ -26,6 +26,7 @@ __all__ = [
     "build_network",
     "network_from_json",
     "laplacian",
+    "pendant_laplacian_times",
 ]
 
 
@@ -470,3 +471,23 @@ def laplacian(g: GraphSpec) -> np.ndarray:
         L[i, j] = L[j, i] = -1.0
     np.fill_diagonal(L, -L.sum(axis=1))
     return L
+
+
+def pendant_laplacian_times(v: np.ndarray, q1: int, p: int, q2: int) -> np.ndarray:
+    """L @ v for ``build_two_chain(q1, p, q2)`` in O(n), without building L.
+
+    ``q1 = 1`` (no left chain) gives ``build_single_chain(p, q2)``, whose
+    vertices come in the same order: left chain, clique, right chain.  The
+    clique block contributes ``p * v_i - sum(clique)``; each chain, with the
+    junction it hangs off, is a path.
+    """
+    v = np.asarray(v, dtype=float)
+    a = q1 - 1  # left-chain vertices, before the clique
+    out = np.zeros_like(v)
+    clique = v[a : a + p]
+    out[a : a + p] = p * clique - clique.sum()
+    for lo, hi in ((0, a), (a + p - 1, v.size - 1)):  # paths lo..hi
+        d = np.diff(v[lo : hi + 1])
+        out[lo:hi] -= d
+        out[lo + 1 : hi + 1] += d
+    return out

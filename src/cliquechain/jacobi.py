@@ -9,8 +9,18 @@ Luk (1985): each sweep is a sequence of rounds, and a round pairs every index
 with exactly one other.  A rotation on (p, q) changes only rows and columns p
 and q, so rotations on disjoint pairs commute and none of them touches the
 entries another one reads to pick its angle.  All rotations of a round are
-therefore applied at once as one vectorized update, with the same result as
-applying them one after another.
+therefore applied at once, with the same result as applying them one after
+another.
+
+The sweep keeps the matrix in the current round's paired layout: rows and
+columns permuted so that the round's pairs (p, q) sit at positions
+(2k, 2k+1).  Read as complex numbers x + iy, each pair of adjacent columns
+then rotates by one multiply with w = c + is, since
+(c + is)(x + iy) = (cx - sy) + i(sx + cy); rows rotate the same way as the
+columns of the transpose.  numpy may fuse the complex product's
+multiply-adds, so a rotated entry can differ from the two-product formula
+in its last bit.  Moving to the next round's layout is a row gather of a
+transpose, one m-entry permutation per round.
 """
 
 from __future__ import annotations
@@ -72,7 +82,6 @@ def _off_norm(a: np.ndarray) -> float:
     return float(np.sqrt(np.sum(np.square(a - np.diag(np.diag(a))))))
 
 
-@lru_cache(maxsize=16)
 def _round_robin(n: int) -> tuple[np.ndarray, np.ndarray]:
     """One sweep of the round-robin pairing of 0..n-1, as index arrays P, Q.
 
@@ -88,11 +97,86 @@ def _round_robin(n: int) -> tuple[np.ndarray, np.ndarray]:
     left, right = table[:, : m // 2], table[:, : m // 2 - 1 : -1]
     p, q = np.minimum(left, right), np.maximum(left, right)
     keep = q < n
-    p = p[keep].reshape(m - 1, -1)
-    q = q[keep].reshape(m - 1, -1)
-    p.setflags(write=False)
-    q.setflags(write=False)
-    return p, q
+    return p[keep].reshape(m - 1, -1), q[keep].reshape(m - 1, -1)
+
+
+@lru_cache(maxsize=16)
+def _paired_layout(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Index tables that run one sweep of ``_round_robin(n)`` in paired layout.
+
+    There are ``m = n + (n odd)`` positions; for odd n, the index a round
+    leaves out is paired with the padding index n.  Round r's layout puts its
+    k-th pair (p, q) at positions (2k, 2k+1).  Returns ``(first, steps,
+    zeros)``:
+
+    - ``first[j]``: the index at position j in round 0;
+    - ``steps[r]``: position j of round r+1 holds what sat at position
+      ``steps[r, j]`` of round r (the last round steps back to round 0);
+    - ``zeros[r]``: the flat positions, in round r+1's layout of an m-by-m
+      matrix, of round r's entries (p, q) and (q, p).
+    """
+    P, Q = _round_robin(n)
+    m = n + n % 2
+    if n % 2:
+        left_out = n * (n - 1) // 2 - P.sum(axis=1) - Q.sum(axis=1)
+        P = np.column_stack([P, left_out])
+        Q = np.column_stack([Q, np.full(m - 1, n)])
+    layout = np.empty((m - 1, m), dtype=np.intp)  # round r: position -> index
+    layout[:, 0::2], layout[:, 1::2] = P, Q
+    position = np.argsort(layout, axis=1)  # round r: index -> position
+    steps = np.take_along_axis(position, np.roll(layout, -1, axis=0), axis=1)
+    moved = np.argsort(steps, axis=1)  # round r position -> round r+1 position
+    p, q = moved[:, 0::2], moved[:, 1::2]
+    zeros = np.concatenate([p * m + q, q * m + p], axis=1)
+    first = layout[0].copy()
+    for table in (first, steps, zeros):
+        table.setflags(write=False)
+    return first, steps, zeros
+
+
+def _sweeps(a: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Jacobi sweeps on symmetric ``a`` (n >= 2): eigenvalues and V, unsorted.
+
+    ``av`` stacks the working matrix, padded to m-by-m, over V (n-by-m); the
+    matrix rows and the columns of both sit in the current round's layout.
+    A round reads its angles off the diagonal and the entries (2k, 2k+1),
+    rotates the columns of both blocks with one complex multiply, turns the
+    row rotation into a column rotation of the transpose, and gathers rows
+    of the transposes into the next round's layout.
+    """
+    n = a.shape[0]
+    m = n + n % 2
+    first, steps, zeros = _paired_layout(n)
+    av = np.vstack([np.pad(a, (0, m - n))[np.ix_(first, first)], np.eye(n, m)[:, first]])
+    av_t = np.empty((m, m + n))
+    a_lay, v_lay, a_t, v_t = av[:m], av[m:], av_t[:, :m], av_t[:, m:]
+    av_pairs, a_t_pairs = av.view(np.complex128), a_t.view(np.complex128)
+    flat = a_lay.reshape(-1)
+    app, aqq, apq = flat[:: 2 * m + 2], flat[m + 1 :: 2 * m + 2], flat[1 :: 2 * m + 2]
+    theta = np.empty(m // 2)
+    for _ in range(_MAX_SWEEPS):
+        if _off_norm(a_lay) < tol:
+            break
+        for step, zero in zip(steps, zeros):
+            # a skipped pair keeps theta = inf, so t = 0 and w = 1 exactly
+            theta[:] = np.inf
+            np.divide(aqq - app, 2.0 * apq, out=theta, where=np.abs(apq) >= _SKIP_EPS)
+            t = np.where(theta < 0.0, -1.0, 1.0) / (np.abs(theta) + np.hypot(theta, 1.0))
+            c = 1.0 / np.sqrt(t * t + 1.0)  # t <= 1
+            w = c + 1j * (t * c)  # c + i s
+            av_pairs *= w  # A <- A J, V <- V J
+            # rows of av_t: the columns of A J and V J, in the next order
+            np.take(av.T, step, axis=0, out=av_t, mode="clip")
+            a_t_pairs *= w  # (A J)^T J = (J^T A J)^T
+            # transposed back, in the next order on both axes
+            np.take(a_t.T, step, axis=0, out=a_lay, mode="clip")
+            np.copyto(v_lay, v_t.T)
+            np.put(a_lay, zero, 0.0)  # this round's (p, q) and (q, p)
+    else:
+        if not _off_norm(a_lay) < tol:
+            raise JacobiConvergenceError(_off_norm(a_lay), _MAX_SWEEPS)
+    index_at = np.argsort(first)[:n]
+    return np.diagonal(a_lay)[index_at], v_lay[:, index_at]
 
 
 def eig_sym(m: np.ndarray, tol: float = 1e-12) -> Spectrum:
@@ -101,8 +185,9 @@ def eig_sym(m: np.ndarray, tol: float = 1e-12) -> Spectrum:
     Each sweep runs the round-robin ordering: n - 1 + (n odd) rounds of
     disjoint pairs, every pair once.  Disjoint rotations commute and read
     entries no other rotation of the round writes, so a round applies all
-    of its rotations in one vectorized step.  Pairs whose off-diagonal
-    entry is below ``_SKIP_EPS`` are left out of the round.
+    of its rotations in one step on the paired layout (module docstring).
+    Pairs whose off-diagonal entry is below ``_SKIP_EPS`` get the identity
+    rotation.
 
     Converges when the off-diagonal Frobenius norm drops below ``tol``
     (absolute).  Raises JacobiConvergenceError after 100 sweeps, and
@@ -120,51 +205,13 @@ def eig_sym(m: np.ndarray, tol: float = 1e-12) -> Spectrum:
     a = 0.5 * (a + a.T)
     a_in = np.array(m, dtype=float)
 
-    v = np.eye(n)
-    if n > 1:
-        converged = False
-        for _ in range(_MAX_SWEEPS):
-            if _off_norm(a) < tol:
-                converged = True
-                break
-            for P, Q in zip(*_round_robin(n)):
-                apq = a[P, Q]
-                hit = np.abs(apq) >= _SKIP_EPS
-                if not hit.all():
-                    if not hit.any():
-                        continue
-                    P, Q, apq = P[hit], Q[hit], apq[hit]
-                theta = (a[Q, Q] - a[P, P]) / (2.0 * apq)
-                t = 1.0 / (np.abs(theta) + np.sqrt(theta * theta + 1.0))
-                t = np.where(theta < 0.0, -t, t)
-                c = 1.0 / np.sqrt(t * t + 1.0)
-                s = t * c
-                # A <- J^T A J, rank-two updates of columns, then rows, P and Q
-                ap, aq = a[:, P], a[:, Q]
-                a[:, P] = c * ap - s * aq
-                a[:, Q] = s * ap + c * aq
-                ap, aq = a[P, :], a[Q, :]
-                a[P, :] = c[:, None] * ap - s[:, None] * aq
-                a[Q, :] = s[:, None] * ap + c[:, None] * aq
-                a[P, Q] = 0.0
-                a[Q, P] = 0.0
-                vp, vq = v[:, P], v[:, Q]
-                v[:, P] = c * vp - s * vq
-                v[:, Q] = s * vp + c * vq
-        else:
-            converged = _off_norm(a) < tol
-        if not converged:
-            raise JacobiConvergenceError(_off_norm(a), _MAX_SWEEPS)
-
-    evals = np.diag(a).copy()
+    evals, v = _sweeps(a, tol) if n > 1 else (np.diag(a).copy(), np.eye(n))
     order = np.argsort(-evals, kind="stable")
     evals = evals[order]
     vecs = v[:, order]
     # deterministic sign: largest-magnitude component of each column positive
-    for k in range(n):
-        i = int(np.argmax(np.abs(vecs[:, k])))
-        if vecs[i, k] < 0:
-            vecs[:, k] = -vecs[:, k]
+    flip = vecs[np.argmax(np.abs(vecs), axis=0), np.arange(n)] < 0
+    vecs[:, flip] = -vecs[:, flip]
 
     res = float(np.max(np.abs(a_in @ vecs - vecs * evals)))
     bound = 10.0 * tol * scale

@@ -26,8 +26,8 @@ from .characteristic import (
     q_factor,
     two_chain_inf,
 )
-from .graphs import GraphSpec, build_single_chain, build_two_chain, laplacian
-from .jacobi import Spectrum, eig_sym, residual
+from .graphs import GraphSpec, laplacian, pendant_laplacian_times
+from .jacobi import Spectrum, eig_sym
 from .transfer import sigma_pair
 
 __all__ = [
@@ -100,6 +100,13 @@ def _finite_chain_coeffs(junction: float, sp: float, q: int) -> tuple[float, flo
     return a, a * ratio
 
 
+def _profile_residual(lam: float, prof: np.ndarray, q1: int, p: int, q2: int) -> float:
+    """``jacobi.residual`` of ``prof`` on K_p with pendant chains of q1-1
+    and q2-1 vertices (q1 = 1: one chain), from the O(n) product."""
+    lv = pendant_laplacian_times(prof, q1, p, q2)
+    return float(np.max(np.abs(lv - lam * prof))) / float(np.max(np.abs(prof)))
+
+
 def _chain_values(a: float, b: float, sp: float, q: int) -> np.ndarray:
     ns = np.arange(1, q)
     return a * sp**ns + b * sp ** (-ns)
@@ -140,8 +147,7 @@ def edge_mode(
         c0 = 1.0 / (1.0 - lam)
         a, b = _finite_chain_coeffs(1.0, sp, q)
         prof = np.concatenate([np.full(p - 1, c0), [1.0], _chain_values(a, b, sp, q)])
-        g = build_single_chain(p, q)
-        res = residual(laplacian(g), lam, prof)
+        res = _profile_residual(lam, prof, 1, p, q)
         if res > check_tol:
             raise ValueError(
                 f"lam={lam} is not an edge eigenvalue of {family.describe()} "
@@ -196,8 +202,7 @@ def edge_mode(
     right = _chain_values(a2, b2, sp, q2)
     left = _chain_values(a1, b1, sp, q1)[::-1]  # graph order: free end first
     prof = np.concatenate([left, [c_m1], np.full(p - 2, c0), [c1], right])
-    g = build_two_chain(q1, p, q2)
-    res = residual(laplacian(g), lam, prof)
+    res = _profile_residual(lam, prof, q1, p, q2)
     if res > check_tol:
         raise ValueError(
             f"lam={lam} is not an edge eigenvalue of {family.describe()} "
@@ -262,8 +267,7 @@ def chain_mode(p: int, q: int, lam: float, check_tol: float = _ROOT_CHECK_TOL) -
         prev, cur = cur, (2.0 - lam) * cur - prev
         chain[k] = cur
     prof = np.concatenate([np.ones(p - 1), [v0], chain])
-    g = build_single_chain(p, q)
-    res = residual(laplacian(g), lam, prof)
+    res = _profile_residual(lam, prof, 1, p, q)
     if res > check_tol:
         raise ValueError(
             f"lam={lam} is not a chain eigenvalue of (p={p}, q={q}) "
@@ -273,7 +277,13 @@ def chain_mode(p: int, q: int, lam: float, check_tol: float = _ROOT_CHECK_TOL) -
 
 
 def junction_ratio(lam: float) -> float:
-    """Plateau-to-junction amplitude ratio 1/(1-lam) of a chain mode."""
+    """Plateau-to-junction amplitude ratio 1/(1-lam) of a chain mode.
+
+    Undefined at lam = 1, where the mode vanishes at the junction; raises
+    ValueError there.
+    """
+    if lam == 1.0:
+        raise ValueError("the junction-silent chain mode (lam = 1) has no junction ratio")
     return 1.0 / (1.0 - lam)
 
 
@@ -354,9 +364,16 @@ def classify_spectrum(g: GraphSpec, tol: float = MATCH_TOL) -> SpectralClassific
     fam_tag = g.params.get("family")
     degrees = g.params.get("degrees", {})
     distinct = g.params.get("distinct_attachments", {})
+    chain_rep = (
+        find_chain_roots(g.params["p"], g.params["q"]) if fam_tag == "single_chain" else None
+    )
     for cid in g.clique_ids():
         p_i = len(g.clique_vertices(cid))
         sel = np.where(~taken & (np.abs(evals - p_i) <= tol))[0]
+        if chain_rep is not None:
+            # a chain eigenvalue equal to p (p = 3, q = 1 mod 3) keeps one copy
+            shared = sum(abs(r - p_i) <= tol for r in chain_rep.roots)
+            sel = sel[: max(len(sel) - shared, 0)]
         taken[sel] = True
         mult = len(sel)
         constructed = modes_by_clique[cid]
@@ -461,16 +478,14 @@ def classify_spectrum(g: GraphSpec, tol: float = MATCH_TOL) -> SpectralClassific
         else:
             anomalies.append(f"eigenvalue {v} could not be classified")
             taken[k] = True
-    if fam_tag == "single_chain":
-        p, q = g.params["p"], g.params["q"]
-        rep = find_chain_roots(p, q)
-        anomalies.extend(rep.anomalies)
-        if any(abs(r - 1.0) <= tol for r in rep.roots):
+    if chain_rep is not None:
+        anomalies.extend(chain_rep.anomalies)
+        if any(abs(r - 1.0) <= tol for r in chain_rep.roots):
             warnings.append(
                 "chain eigenvalue 1.0 has a junction-silent eigenvector and "
                 "sits on a pole of the phase form (q = 2 mod 3)"
             )
-        for v, r in _match_values(sorted(chain_values), rep.roots, tol):
+        for v, r in _match_values(sorted(chain_values), chain_rep.roots, tol):
             if r is None:
                 anomalies.append(
                     f"chain eigenvalue {v} has no matching phase-form zero"

@@ -68,6 +68,17 @@ class TestSpectrum:
         assert len(rep["payload"]["chain"]) == 59
         assert rep["anomalies"] == []
 
+    @pytest.mark.parametrize("q", [4, 7, 10])
+    def test_chain_eigenvalue_at_clique_value(self, capsys, q):
+        # p = 3, q = 1 (mod 3): a chain eigenvalue equals p, so the oracle
+        # has two copies of 3; one is the clique mode, one a chain mode
+        rc, rep = run_json(["spectrum", "--p", "3", "--q", str(q)], capsys)
+        assert rc == 0
+        payload = rep["payload"]
+        (clique,) = payload["clique"]
+        assert clique["oracle_multiplicity"] == 1 == clique["constructed_modes"]
+        assert any(abs(v - 3.0) <= 1e-9 for v in payload["chain"])
+
     def test_two_chain_labels(self, capsys):
         rc, rep = run_json(["spectrum", "--q1", "4", "--p", "6", "--q2", "4"], capsys)
         assert rc == 0
@@ -196,6 +207,11 @@ class TestBoundsAndModes:
         (silent,) = [m for m in modes if abs(m["lambda"] - 1.0) < 1e-9]
         assert abs(silent["profile"][7]) < 1e-9  # junction, after 7 clique sites
         assert silent["residual"] <= 1e-9
+        # its plateau-to-junction ratio is undefined, not 1/round-off
+        assert silent["junction_ratio"] is None
+        for m in modes:
+            if m is not silent:
+                assert m["junction_ratio"] == pytest.approx(1.0 / (1.0 - m["lambda"]), rel=1e-9)
 
 
 class TestReportContract:

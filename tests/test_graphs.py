@@ -18,6 +18,7 @@ from cliquechain import (
     laplacian,
     network_from_json,
 )
+from cliquechain.graphs import pendant_laplacian_times
 
 K6C4_LAPLACIAN = np.array(
     [
@@ -243,3 +244,17 @@ def test_graphspec_immutable():
     g = build_single_chain(5, 3)
     with pytest.raises(dataclasses.FrozenInstanceError):
         g.n = 10
+
+
+@pytest.mark.parametrize("p", [3, 4, 7, 12, 30])
+def test_pendant_laplacian_times_matches_dense(p):
+    rng = np.random.default_rng(p)
+    for q in (2, 3, 5, 11):
+        cases = [(1, build_single_chain(p, q))]
+        cases += [(q1, build_two_chain(q1, p, q)) for q1 in (2, 4, q)]
+        for q1, g in cases:
+            L = laplacian(g)
+            ints = rng.integers(-9, 10, g.n).astype(float)  # exact in both
+            assert np.array_equal(pendant_laplacian_times(ints, q1, p, q), L @ ints)
+            v = rng.standard_normal(g.n)
+            assert np.allclose(pendant_laplacian_times(v, q1, p, q), L @ v, rtol=0, atol=1e-12 * p)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -73,17 +74,64 @@ def test_round_robin_covers_each_pair_once(n):
     assert len(pairs) == P.size == n * (n - 1) // 2
 
 
+@pytest.mark.parametrize("n", range(1, 41))
+def test_paired_layout_holds_round_robin_rounds(n):
+    P, Q = jacobi._round_robin(n)
+    first, steps, zeros = jacobi._paired_layout(n)
+    m = n + n % 2
+    assert sorted(first.tolist()) == list(range(m))
+    layout = first
+    for r in range(m - 1):
+        pairs = set(zip(layout[0::2].tolist(), layout[1::2].tolist()))
+        expected = set(zip(P[r].tolist(), Q[r].tolist()))
+        if n % 2:  # the index the round leaves out sits with padding seat n
+            (left_out,) = set(range(n)) - set(P[r].tolist()) - set(Q[r].tolist())
+            expected.add((left_out, n))
+        assert pairs == expected
+        nxt = layout[steps[r]]
+        # the zeroed entries are round r's pairs, found in round r+1's layout
+        at = {int(x): j for j, x in enumerate(nxt)}
+        flat = {at[p] * m + at[q] for p, q in pairs} | {at[q] * m + at[p] for p, q in pairs}
+        assert set(zeros[r].tolist()) == flat
+        layout = nxt
+    assert np.array_equal(layout, first)  # the last round steps back
+
+
 def _path_laplacian(n: int) -> np.ndarray:
     L = 2.0 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)
     L[0, 0] = L[-1, -1] = 1.0
     return L
 
 
-@pytest.mark.parametrize("n", [100, 101])
+@pytest.mark.parametrize("n", [*range(2, 42), 100, 101])
 def test_path_graph_spectrum_closed_form(n):
     spec = eig_sym(_path_laplacian(n))
     expected = 2.0 - 2.0 * np.cos(np.arange(n - 1, -1, -1) * np.pi / n)
     assert np.max(np.abs(spec.eigenvalues - expected)) <= 1e-10
+
+
+@pytest.mark.parametrize("n", range(1, 42))
+def test_random_symmetric_trace_and_residuals(n):
+    rng = np.random.default_rng(n)
+    a = rng.standard_normal((n, n))
+    a = a + a.T
+    spec = eig_sym(a)
+    scale = np.max(np.abs(a))
+    assert abs(spec.eigenvalues.sum() - np.trace(a)) <= 1e-12 * n * scale
+    vecs = spec.eigenvectors
+    assert np.max(np.abs(vecs.T @ vecs - np.eye(n))) <= 1e-12
+    for k in range(n):
+        assert residual(a, spec.eigenvalues[k], vecs[:, k]) <= 1e-11 * scale
+
+
+def test_no_overflow_warning_on_tiny_off_diagonal():
+    # K_100 with a 50-vertex chain: late sweeps see |theta| beyond 1e154,
+    # where theta * theta overflowed; masked pairs must not divide by zero
+    L = laplacian(build_single_chain(100, 51))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        spec = eig_sym(L)
+    assert spec.multiplicity_of(100.0) == 98
 
 
 def test_two_components_skip_whole_rounds():

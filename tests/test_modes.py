@@ -225,6 +225,10 @@ class TestChainModes:
         assert v[7] == pytest.approx(1.0 - r, abs=1e-14)
         assert 1.0 / v[7] == pytest.approx(junction_ratio(r), rel=1e-12)
 
+    def test_junction_ratio_undefined_at_one(self):
+        with pytest.raises(ValueError, match="junction-silent"):
+            junction_ratio(1.0)
+
     def test_non_root_rejected(self):
         with pytest.raises(ValueError, match="not a chain eigenvalue"):
             chain_mode(6, 4, 2.0)

@@ -27,7 +27,15 @@ from .jacobi import (
     group_multiplicities,
     residual,
 )
-from .transfer import ChainState, TransferPair, phase, propagate, sigma_pair, transfer_matrix
+from .transfer import (
+    ChainState,
+    TransferPair,
+    phase,
+    propagate,
+    sigma_pair,
+    sigma_plus,
+    transfer_matrix,
+)
 from .characteristic import (
     EdgeFamily,
     RootReport,

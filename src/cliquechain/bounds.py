@@ -67,7 +67,7 @@ class WeylBounds:
                 lam = evals[j - 1]
                 if lam < e.lower - tol or lam > e.upper + tol:
                     out.append(
-                        f"lambda_{j} = {lam!r} outside "
+                        f"lambda_{j} = {lam:.12g} outside "
                         f"{'[' if e.lower_closed else '('}{e.lower}, "
                         f"{e.upper}{']' if e.upper_closed else ')'} ({e.note})"
                     )

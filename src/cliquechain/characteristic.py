@@ -17,6 +17,14 @@ denominator it becomes the pole-free H of ``find_chain_roots``, whose zeros
 are exactly the q-1 oscillatory chain eigenvalues.  Both root finders use
 one scan: sample on a fixed grid, pick the cells with a sign change or an
 exact zero, and bisect each.
+
+Eigenvalue counts need no scan.  ``count_sign_changes_below_band`` counts
+the zeros in (4, p] exactly by Sylvester's law of inertia, as bisection by
+count does in LAPACK dstebz: eliminate each chain from its free end with
+the pivot recurrence d_k = 2 - x - 1/d_(k-1), drop the clique's difference
+modes (pivot p - x), collapse its other free vertices to one plateau
+coordinate, and count the negative pivots of the small plateau/junction
+block that remains.
 """
 
 from __future__ import annotations
@@ -26,6 +34,8 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
 import numpy as np
+
+from .transfer import sigma_plus
 
 __all__ = [
     "EdgeFamily",
@@ -51,12 +61,6 @@ _BISECT_MAX_ITER = 200
 DEFAULT_ROOT_TOL = 1e-12
 
 
-def _sigma_plus(lam: ArrayLike) -> ArrayLike:
-    # hyperbolic branch, lam > 4 assumed; cancellation-free for large lam
-    t = 2.0 - np.asarray(lam, dtype=float)
-    return 2.0 / (t - np.sqrt(t * t - 4.0))
-
-
 def _require_above_band(lam: ArrayLike, who: str) -> np.ndarray:
     arr = np.asarray(lam, dtype=float)
     if np.any(arr <= 4.0):
@@ -67,7 +71,7 @@ def _require_above_band(lam: ArrayLike, who: str) -> np.ndarray:
 def f_one_inf(lam: ArrayLike, p: int) -> ArrayLike:
     """Edge-eigenvalue function for one infinite chain; zero <=> eigenvalue."""
     arr = _require_above_band(lam, "f_one_inf")
-    sp = _sigma_plus(arr)
+    sp = sigma_plus(arr)
     val = (1.0 - arr) * sp - (p - arr) * (1.0 - arr) + (p - 1.0)
     return val if isinstance(lam, np.ndarray) else float(val)
 
@@ -79,7 +83,7 @@ def f_one_fin(lam: ArrayLike, p: int, q: int) -> ArrayLike:
     decays like sigma+^(2q-2)).
     """
     arr = _require_above_band(lam, "f_one_fin")
-    sp = _sigma_plus(arr)
+    sp = sigma_plus(arr)
     ratio = sp * (1.0 + sp ** (2 * q - 3)) / (1.0 + sp ** (2 * q - 1))
     val = (1.0 - arr) * ratio - (p - arr) * (1.0 - arr) + (p - 1.0)
     return val if isinstance(lam, np.ndarray) else float(val)
@@ -116,7 +120,7 @@ def chain_pole_lambdas(q: int) -> np.ndarray:
 def q_factor(lam: ArrayLike, p: int, q: int) -> ArrayLike:
     """Junction coefficient Q_q of the finite-chain elimination."""
     arr = _require_above_band(lam, "q_factor")
-    sp = _sigma_plus(arr)
+    sp = sigma_plus(arr)
     val = sp * (1.0 + sp ** (2 * q - 3)) / (1.0 + sp ** (2 * q - 1)) - (p - arr)
     return val if isinstance(lam, np.ndarray) else float(val)
 
@@ -124,7 +128,7 @@ def q_factor(lam: ArrayLike, p: int, q: int) -> ArrayLike:
 def two_chain_inf(lam: ArrayLike, p: int) -> tuple[ArrayLike, ArrayLike]:
     """(F_S, F_A) for two infinite chains: symmetric and antisymmetric."""
     arr = _require_above_band(lam, "two_chain_inf")
-    sp = _sigma_plus(arr)
+    sp = sigma_plus(arr)
     f_s = (2.0 - arr) * sp - (p - 1.0 - arr) * (2.0 - arr) + 2.0 * (p - 2.0)
     f_a = sp - (p + 1.0 - arr)
     if isinstance(lam, np.ndarray):
@@ -439,13 +443,100 @@ def find_chain_roots(p: int, q: int, tol: float = DEFAULT_ROOT_TOL) -> RootRepor
     )
 
 
-def count_sign_changes_below_band(family: EdgeFamily, step: float = 1e-3) -> int:
-    """Sign changes of the family characteristic on (4, p] (should be 0)."""
+def _chain_pivot(x: float, q: Optional[int]) -> float:
+    """Last pivot of a pendant chain eliminated from its free end at shift x.
+
+    A chain of q-1 vertices has the pivots d_1 = 1 - x and
+    d_k = 2 - x - 1/d_(k-1); an infinite chain (q None) has the recurrence's
+    attracting fixed point 1/sigma+(x).  Every pivot must be negative, as
+    all are (<= -1) for x >= 4: the chain then adds the same number of
+    negative pivots at every such shift.
+    """
+    if q is None:
+        d = 1.0 / float(sigma_plus(x))
+    else:
+        d = 1.0 - x
+        for _ in range(q - 2):
+            if not d < 0.0:
+                break
+            d = 2.0 - x - 1.0 / d
+    if not d < 0.0:
+        raise ValueError(f"chain pivot {d} at shift {x} is not negative")
+    return d
+
+
+def _sector_block(family: EdgeFamily, x: float) -> list[list[float]]:
+    """L - x on the family's sector after every chain is eliminated.
+
+    The clique's p-j-1 difference modes (j junctions) have pivot p - x and
+    drop out; the rest of its free vertices is one plateau coordinate, the
+    indicator of those m = p - j vertices.  What remains is the quadratic
+    form over the plateau and junction coordinates: 2x2 for one chain, 3x3
+    for two chains, 2x2 in the symmetric sector (both junctions equal) and
+    1x1 in the antisymmetric one (junctions opposite, plateau zero).  The
+    coordinates are indicator vectors, not unit vectors; that congruence
+    keeps the inertia and needs no square roots.
+    """
+    p = family.p
+
+    def junction(q):  # degree p, minus the eliminated chain's share
+        return p - x - 1.0 / _chain_pivot(x, q)
+
+    if family.kind.startswith("one_chain"):
+        m = p - 1.0
+        return [[m * (1.0 - x), -m], [-m, junction(family.q)]]
+    m = p - 2.0
+    if family.kind == "two_chain_finite":
+        return [
+            [m * (2.0 - x), -m, -m],
+            [-m, junction(family.q1), -1.0],
+            [-m, -1.0, junction(family.q2)],
+        ]
+    a = junction(family.q)
+    if family.kind.endswith("_sym"):
+        return [[m * (2.0 - x), -2.0 * m], [-2.0 * m, 2.0 * (a - 1.0)]]
+    return [[a + 1.0]]
+
+
+def _negative_pivots(block: list[list[float]]) -> int:
+    """Negative pivots of the LDL^T of a small symmetric block, no pivoting."""
+    a = [row[:] for row in block]
+    n = len(a)
+    neg = 0
+    for k in range(n):
+        d = a[k][k]
+        neg += d < 0.0
+        for i in range(k + 1, n):
+            f = a[i][k] / d
+            for j in range(k + 1, n):
+                a[i][j] -= f * a[k][j]
+    return neg
+
+
+def _sector_count_below(family: EdgeFamily, x: float) -> int:
+    """The sector's eigenvalues below x >= 4, less its chain vertices.
+
+    For x >= 4 each chain vertex adds one negative pivot, so this is the
+    number of negative pivots of the plateau/junction block.
+    """
+    return _negative_pivots(_sector_block(family, x))
+
+
+def count_sign_changes_below_band(family: EdgeFamily) -> int:
+    """Number of zeros of the family characteristic F in (4, p]; 0 is expected.
+
+    Exact, by Sylvester's law of inertia: the eigenvalues below x of the
+    family's sector (the eigenvectors F describes) are the negative pivots
+    of an LDL^T of L - x, so the count is N(p) - N(4), two evaluations of
+    O(q) scalar work.  On [4, p] every chain pivot and the plateau pivot
+    m(j - x) are negative, and the middle pivot of two unequal chains is
+    positive; only the last pivot can change sign, and F is that pivot
+    times a factor of constant sign.  N therefore steps by one exactly
+    where F changes sign, and the count is the number of sign changes of F.
+    F vanishes neither at 4 nor at p when p >= 5, so the ends of the window
+    do not matter.  p <= 4 leaves the window empty: 0.
+    """
     p = family.p
     if p <= 4:
         return 0
-    grid = np.arange(4.0 + step, float(p) + step / 2.0, step)
-    grid = grid[grid <= p]
-    vals = np.asarray(family.evaluate(grid))
-    signs = np.sign(vals)
-    return int(np.sum(signs[:-1] * signs[1:] < 0))
+    return _sector_count_below(family, float(p)) - _sector_count_below(family, 4.0)

@@ -476,7 +476,7 @@ def classify_spectrum(g: GraphSpec, tol: float = MATCH_TOL) -> SpectralClassific
             chain_values.append(v)
             taken[k] = True
         else:
-            anomalies.append(f"eigenvalue {v} could not be classified")
+            anomalies.append(f"eigenvalue {v:.12g} could not be classified")
             taken[k] = True
     if chain_rep is not None:
         anomalies.extend(chain_rep.anomalies)
@@ -488,7 +488,7 @@ def classify_spectrum(g: GraphSpec, tol: float = MATCH_TOL) -> SpectralClassific
         for v, r in _match_values(sorted(chain_values), chain_rep.roots, tol):
             if r is None:
                 anomalies.append(
-                    f"chain eigenvalue {v} has no matching phase-form zero"
+                    f"chain eigenvalue {v:.12g} has no matching phase-form zero"
                 )
 
     # near-degenerate localized values (several chains of similar length
@@ -525,13 +525,13 @@ def _match_edges(evals, taken, roots, labels, tol, anomalies, clique_id):
     for r, lab in zip(sorted(roots), labels if len(labels) == len(roots) else ["edge"] * len(roots)):
         cand = np.where(~taken)[0]
         if cand.size == 0:
-            anomalies.append(f"edge root {r} has no oracle eigenvalue left to match")
+            anomalies.append(f"edge root {r:.12g} has no oracle eigenvalue left to match")
             continue
         k = cand[int(np.argmin(np.abs(evals[cand] - r)))]
         if abs(evals[k] - r) > tol:
             anomalies.append(
-                f"edge root {r!r} does not match any oracle eigenvalue "
-                f"(closest {evals[k]!r})"
+                f"edge root {r:.12g} does not match any oracle eigenvalue "
+                f"(closest {evals[k]:.12g})"
             )
             continue
         taken[k] = True

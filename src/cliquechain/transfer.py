@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import NamedTuple, Union
 
 import numpy as np
 
@@ -19,6 +19,7 @@ __all__ = [
     "TransferPair",
     "ChainState",
     "transfer_matrix",
+    "sigma_plus",
     "sigma_pair",
     "phase",
     "propagate",
@@ -43,23 +44,28 @@ def transfer_matrix(lam: float) -> np.ndarray:
     return np.array([[0.0, 1.0], [-1.0, 2.0 - lam]])
 
 
-def sigma_pair(lam: float) -> TransferPair:
-    """sigma+- for lam outside the oscillatory band [0, 4].
+def sigma_plus(lam: Union[float, np.ndarray]) -> Union[float, np.ndarray]:
+    """sigma+ for lam >= 4, elementwise (lam is not checked).
 
-    Computed cancellation-free: for lam > 4,
+    Computed cancellation-free as
     sigma+ = -2 / ((lam-2) + sqrt((lam-2)^2 - 4)), which avoids the loss of
     precision of the quadratic formula when lam is large.
     """
+    t = 2.0 - np.asarray(lam, dtype=float)
+    return 2.0 / (t - np.sqrt(t * t - 4.0))
+
+
+def sigma_pair(lam: float) -> TransferPair:
+    """sigma+- for lam outside the oscillatory band [0, 4]."""
     if 0.0 <= lam <= 4.0:
         raise ValueError(
             f"lam={lam} lies in the oscillatory band [0, 4]; use phase() there"
         )
-    t = 2.0 - lam
-    root = math.sqrt(t * t - 4.0)
-    if t < 0.0:
-        sp = 2.0 / (t - root)
+    if lam > 4.0:
+        sp = float(sigma_plus(lam))
     else:
-        sp = 2.0 / (t + root)
+        t = 2.0 - lam
+        sp = 2.0 / (t + math.sqrt(t * t - 4.0))
     return TransferPair(lam=lam, sigma_plus=sp, sigma_minus=1.0 / sp)
 
 

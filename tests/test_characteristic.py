@@ -30,6 +30,7 @@ from cliquechain import (
     two_chain_fin,
     two_chain_inf,
 )
+from cliquechain.characteristic import _chain_pivot, _sector_count_below
 
 SQRT3 = math.sqrt(3.0)
 SQRT5 = math.sqrt(5.0)
@@ -283,3 +284,65 @@ class TestRootReports:
             EdgeFamily("three_chain", 6)
         with pytest.raises(ValueError, match="p"):
             EdgeFamily.one_chain_finite(2, 4)
+
+
+def _window(family, lo, hi):
+    """Sector eigenvalues in [lo, hi) by inertia."""
+    return _sector_count_below(family, hi) - _sector_count_below(family, lo)
+
+
+ALL_KINDS = [
+    lambda p: EdgeFamily.one_chain_infinite(p),
+    lambda p: EdgeFamily.one_chain_finite(p, 4),
+    lambda p: EdgeFamily.two_chain_infinite_sym(p),
+    lambda p: EdgeFamily.two_chain_infinite_anti(p),
+    lambda p: EdgeFamily.two_chain_finite(3, p, 7),
+    lambda p: EdgeFamily.two_chain_finite_sym(p, 5),
+    lambda p: EdgeFamily.two_chain_finite_anti(p, 5),
+]
+
+
+class TestInertiaCount:
+    @pytest.mark.parametrize(
+        "p, qs",
+        [
+            (5, (2,)), (6, (4,)), (9, (7,)), (14, (3,)),
+            (5, (3, 6)), (8, (2, 5)), (11, (6, 9)), (20, (4, 13)),
+        ],
+    )
+    def test_matches_dense_counts(self, p, qs):
+        if len(qs) == 1:
+            fam, g = EdgeFamily.one_chain_finite(p, qs[0]), build_single_chain(p, qs[0])
+        else:
+            fam, g = EdgeFamily.two_chain_finite(qs[0], p, qs[1]), build_two_chain(qs[0], p, qs[1])
+        ev = np.linalg.eigvalsh(laplacian(g))
+        # (4, p) less round-off: the clique modes sit at p
+        assert count_sign_changes_below_band(fam) == np.sum((ev > 4.0) & (ev < p - 1e-9))
+        # at every shift x >= 4: the chain vertices, the block's negative
+        # pivots and, above p, the clique's p-j-1 difference modes
+        j = len(qs)
+        for x in np.linspace(4.0, p + 3.0, 57):
+            if np.min(np.abs(ev - x)) < 1e-6:
+                continue
+            expected = int(np.sum(ev < x)) - sum(q - 1 for q in qs) - (p - j - 1) * (x > p)
+            assert _sector_count_below(fam, float(x)) == expected
+
+    @pytest.mark.parametrize("p", [5, 9, 30])
+    @pytest.mark.parametrize("make", ALL_KINDS, ids=lambda f: f(5).kind)
+    def test_edge_window_holds_the_promised_roots(self, make, p):
+        family = make(p)
+        assert count_sign_changes_below_band(family) == 0
+        assert _window(family, float(p), p + 2.0) == family.expected_roots
+
+    @pytest.mark.parametrize("p", [5, 6, 12, 40])
+    def test_infinite_chain_is_the_long_chain_limit(self, p):
+        inf, fin = EdgeFamily.one_chain_infinite(p), EdgeFamily.one_chain_finite(p, 200)
+        assert count_sign_changes_below_band(inf) == count_sign_changes_below_band(fin)
+        assert _window(inf, float(p), p + 2.0) == _window(fin, float(p), p + 2.0)
+
+    def test_non_negative_chain_pivot_raises(self):
+        # below the band the recurrence reaches a positive pivot
+        with pytest.raises(ValueError, match="not negative"):
+            _chain_pivot(0.5, 5)
+        with pytest.raises(ValueError, match="not negative"):
+            _sector_count_below(EdgeFamily.one_chain_finite(6, 5), 3.0)

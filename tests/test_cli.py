@@ -234,6 +234,22 @@ class TestReportContract:
         (edge,) = rep["payload"]["edge"]
         assert edge["value"] == float(format(7.035470002595778, ".12g"))
 
+    def test_report_messages_use_12_digits(self, capsys):
+        _, rep = run_json(["spectrum", "--p", "3", "--q", "5"], capsys)
+        assert (
+            "eigenvalue bound violated: lambda_2 = 3.36040933713 outside [3.0, 3.0] (clique block)"
+            in [a["message"] for a in rep["anomalies"]]
+        )
+        for argv in (
+            ["spectrum", "--p", "3", "--q", "5"],
+            ["bounds", "--p", "3", "--q", "5"],
+            ["modes", "--p", "3", "--q", "5"],
+            ["spectrum", "--q1", "3", "--p", "5", "--q2", "4"],
+            ["sweep", "--family", "one-finite", "--p", "3..6", "--q", "2..5"],
+        ):
+            _, out = run(argv, capsys)
+            assert "np.float64" not in out
+
     def test_input_hash_stable(self):
         h1 = cli.input_hash({"p": 6, "q": 4})
         h2 = cli.input_hash({"q": 4, "p": 6})

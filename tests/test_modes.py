@@ -321,3 +321,12 @@ class TestClassification:
             assert np.min(np.abs(evals - e.value)) <= 1e-8
         for v in cls.chain_values:
             assert np.min(np.abs(evals - v)) <= 1e-8
+
+
+def test_match_edges_message_uses_12_digits():
+    from cliquechain.modes import _match_edges
+
+    anomalies = []
+    evals = np.array([7.123456789012345])
+    assert _match_edges(evals, np.zeros(1, dtype=bool), [8.0], ["edge"], 1e-8, anomalies, "K") == []
+    assert anomalies == ["edge root 8 does not match any oracle eigenvalue (closest 7.12345678901)"]

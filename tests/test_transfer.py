@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from cliquechain import ChainState, phase, propagate, sigma_pair, transfer_matrix
+from cliquechain import ChainState, phase, propagate, sigma_pair, sigma_plus, transfer_matrix
 
 
 def test_sigma_at_six_matches_closed_form():
@@ -45,6 +45,16 @@ def test_band_interior_rejected_with_pointer_to_phase():
         sigma_pair(2.0)
     with pytest.raises(ValueError, match="phase"):
         sigma_pair(4.0)
+
+
+def test_sigma_plus_vectorized_is_bit_identical():
+    # one helper for every lam > 4: the array form rounds exactly as the
+    # scalar formula and as sigma_pair, element by element
+    lams = np.concatenate([4.0 + np.logspace(-12, 0, 40), np.linspace(5.0, 500.0, 200), [1e8]])
+    scalar = [2.0 / ((2.0 - x) - math.sqrt((2.0 - x) ** 2 - 4.0)) for x in lams.tolist()]
+    vec = sigma_plus(lams)
+    assert vec.tolist() == scalar
+    assert vec.tolist() == [sigma_pair(x).sigma_plus for x in lams.tolist()]
 
 
 def test_large_lam_asymptote():

@@ -13,18 +13,18 @@ in-clique modes are fixed by scalar conditions in lam:
 Each function has exactly one simple zero per localized mode in (p, p+2]
 and no zeros in (4, p].  On the band (0, 4), F_q written through the phase
 lam = 2 - 2 cos(phi) (``f_one_fin_phase``) has poles; multiplied by its
-denominator it becomes the pole-free H of ``find_chain_roots``, whose zeros
-are exactly the q-1 oscillatory chain eigenvalues.  Both root finders use
-one scan: sample on a fixed grid, pick the cells with a sign change or an
-exact zero, and bisect each.
+denominator it becomes a pole-free H whose zeros are exactly the q-1
+oscillatory chain eigenvalues; ``find_chain_roots`` scans H on a fixed
+grid and bisects each cell with a sign change or an exact zero.
 
-Eigenvalue counts need no scan.  ``count_sign_changes_below_band`` counts
-the zeros in (4, p] exactly by Sylvester's law of inertia, as bisection by
-count does in LAPACK dstebz: eliminate each chain from its free end with
+Above the band nothing is scanned.  Sylvester's law of inertia counts the
+zeros below a shift x exactly: eliminate each chain from its free end with
 the pivot recurrence d_k = 2 - x - 1/d_(k-1), drop the clique's difference
 modes (pivot p - x), collapse its other free vertices to one plateau
 coordinate, and count the negative pivots of the small plateau/junction
-block that remains.
+block that remains.  ``count_sign_changes_below_band`` takes the count at 4
+and p; ``find_edge_roots`` bisects it over (max(p, 4), p+2], as LAPACK
+dstebz does.
 """
 
 from __future__ import annotations
@@ -55,7 +55,6 @@ __all__ = [
 ArrayLike = Union[float, np.ndarray]
 
 _POLE_EPS = 1e-9
-_EDGE_SAMPLES = 4000
 _CHAIN_GRID_PER_UNIT = 40
 _BISECT_MAX_ITER = 200
 DEFAULT_ROOT_TOL = 1e-12
@@ -233,22 +232,6 @@ class EdgeFamily:
         """Localized eigenvalues promised in (p, p+2] for this family."""
         return _FAMILY_KINDS[self.kind]
 
-    def evaluate(self, lam: ArrayLike) -> ArrayLike:
-        k = self.kind
-        if k == "one_chain_infinite":
-            return f_one_inf(lam, self.p)
-        if k == "one_chain_finite":
-            return f_one_fin(lam, self.p, self.q)
-        if k == "two_chain_infinite_sym":
-            return two_chain_inf(lam, self.p)[0]
-        if k == "two_chain_infinite_anti":
-            return two_chain_inf(lam, self.p)[1]
-        if k == "two_chain_finite":
-            return two_chain_fin(lam, self.q1, self.p, self.q2)[0]
-        if k == "two_chain_finite_sym":
-            return two_chain_fin(lam, self.q, self.p, self.q)[1]
-        return two_chain_fin(lam, self.q, self.p, self.q)[2]
-
     def hypothesis_violations(self) -> tuple[str, ...]:
         """Parameter ranges below which the root-count statements are not
         guaranteed (roots are still searched for and reported)."""
@@ -282,12 +265,12 @@ class EdgeFamily:
 
 @dataclass(frozen=True)
 class RootReport:
-    """Roots located by sign-change scan + bisection, with diagnostics."""
+    """Roots with their final bisection brackets and iteration counts: edge
+    roots bisect the inertia count, chain roots a sign-change scan."""
 
     roots: tuple[float, ...]
     brackets: tuple[tuple[float, float], ...]
     iterations: tuple[int, ...]
-    boundary_roots: tuple[float, ...] = ()
     expected_count: Optional[int] = None
     anomalies: tuple[str, ...] = ()
     warnings: tuple[str, ...] = ()
@@ -351,40 +334,44 @@ def _scan_bisect(
     return roots, brackets, iters
 
 
-def find_edge_roots(family: EdgeFamily, tol: float = DEFAULT_ROOT_TOL) -> RootReport:
-    """All zeros of the family characteristic in (p, p+2].
+def _fmt_roots(roots) -> str:
+    """A root list at the reports' 12 significant digits."""
+    return "[" + ", ".join(format(r, ".12g") for r in roots) + "]"
 
-    Uniform sign-change scan followed by bisection.  A mismatch against the
-    family's promised root count is reported as an anomaly, never patched.
+
+def find_edge_roots(family: EdgeFamily) -> RootReport:
+    """All zeros of the family characteristic in (max(p, 4), p+2].
+
+    Bisection on the inertia count N = ``_sector_count_below``, down to
+    adjacent doubles: with lo and hi just above the window's ends, the j-th
+    of its N(hi) - N(lo) roots is the one sign change of N(x) - N(lo) - j - 1/2.
+    A mismatch against the family's promised root count is reported as an
+    anomaly, never patched.
     """
     p = family.p
-    lo = max(float(p), 4.0)
-    hi = float(p) + 2.0
-    span = hi - lo
-    grid = np.empty(_EDGE_SAMPLES + 1)
-    grid[0] = lo + span * 1e-9
-    grid[1:] = lo + span * np.arange(1, _EDGE_SAMPLES + 1) / _EDGE_SAMPLES
-    vals = np.asarray(family.evaluate(grid))
-    roots, brackets, iters = _scan_bisect(
-        lambda x: float(family.evaluate(x)), grid, vals, tol
-    )
-    if vals[-1] == 0.0 and not any(abs(r - hi) <= 10 * tol for r in roots):
-        roots.append(hi)
-        brackets.append((hi, hi))
-        iters.append(0)
-    boundary = [r for r in roots if abs(r - hi) <= max(tol, 1e-9)]
+    lo = math.nextafter(max(float(p), 4.0), math.inf)
+    hi = math.nextafter(p + 2.0, math.inf)
+    base = _sector_count_below(family, lo)
+    roots, brackets, iters = [], [], []
+    for j in range(_sector_count_below(family, hi) - base):
+        r, it, a, b = _bisect(
+            lambda x: _sector_count_below(family, x) - base - j - 0.5,
+            lo, hi, -0.5, 0.5, 0.0,
+        )
+        roots.append(r)
+        brackets.append((a, b))
+        iters.append(it)
 
     anomalies = []
     if len(roots) != family.expected_roots:
         anomalies.append(
             f"{family.kind} p={p}: expected {family.expected_roots} root(s) in "
-            f"(p, p+2], found {len(roots)} at {roots}"
+            f"(p, p+2], found {len(roots)} at {_fmt_roots(roots)}"
         )
     return RootReport(
         roots=tuple(roots),
         brackets=tuple(brackets),
         iterations=tuple(iters),
-        boundary_roots=tuple(boundary),
         expected_count=family.expected_roots,
         anomalies=tuple(anomalies),
         warnings=family.hypothesis_violations(),
@@ -432,7 +419,7 @@ def find_chain_roots(p: int, q: int, tol: float = DEFAULT_ROOT_TOL) -> RootRepor
     if len(lam_roots) != expected:
         anomalies.append(
             f"chain scan p={p}, q={q}: expected {expected} band eigenvalues, "
-            f"found {len(lam_roots)} at {list(lam_roots)}"
+            f"found {len(lam_roots)} at {_fmt_roots(lam_roots)}"
         )
     return RootReport(
         roots=lam_roots,
@@ -448,9 +435,10 @@ def _chain_pivot(x: float, q: Optional[int]) -> float:
 
     A chain of q-1 vertices has the pivots d_1 = 1 - x and
     d_k = 2 - x - 1/d_(k-1); an infinite chain (q None) has the recurrence's
-    attracting fixed point 1/sigma+(x).  Every pivot must be negative, as
-    all are (<= -1) for x >= 4: the chain then adds the same number of
-    negative pivots at every such shift.
+    attracting fixed point 1/sigma+(x).  Once a pivot repeats bit for bit,
+    every later one equals it, so the recurrence stops there.  Every pivot
+    must be negative, as all are (<= -1) for x >= 4: the chain then adds the
+    same number of negative pivots at every such shift.
     """
     if q is None:
         d = 1.0 / float(sigma_plus(x))
@@ -459,7 +447,10 @@ def _chain_pivot(x: float, q: Optional[int]) -> float:
         for _ in range(q - 2):
             if not d < 0.0:
                 break
-            d = 2.0 - x - 1.0 / d
+            nxt = 2.0 - x - 1.0 / d
+            if nxt == d:
+                break
+            d = nxt
     if not d < 0.0:
         raise ValueError(f"chain pivot {d} at shift {x} is not negative")
     return d

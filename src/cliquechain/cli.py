@@ -455,12 +455,16 @@ def cmd_sweep(args) -> int:
         ps_arr = np.array([r["p"] for r in rows], dtype=float)
         devs = np.array([r["deviation_from_p_plus_1"] for r in rows], dtype=float)
         mask = devs > 0
-        a = np.vstack([np.ones(mask.sum()), -np.log(ps_arr[mask])]).T
-        coeff, *_ = np.linalg.lstsq(a, np.log(devs[mask]), rcond=None)
+        if mask.sum() < 2:
+            raise SystemExit2("--fit-decay needs at least two p values")
+        # least-squares line log(dev) = intercept + slope * (-log p)
+        x, y = -np.log(ps_arr[mask]), np.log(devs[mask])
+        xc = x - x.mean()
+        slope = float(np.sum(xc * (y - y.mean())) / np.sum(xc * xc))
         payload["decay_fit"] = {
             "bound_constant": float(np.max(ps_arr * devs)),  # C in err <= C/p
-            "fitted_exponent": float(coeff[1]),
-            "fitted_prefactor": float(np.exp(coeff[0])),
+            "fitted_exponent": slope,
+            "fitted_prefactor": float(np.exp(y.mean() - slope * x.mean())),
         }
     anomalies = [
         _anomaly("mismatch", f"row p={r['p']} q={r.get('q', '-')} anomalous")
@@ -592,7 +596,6 @@ def cmd_modes(args) -> int:
 def _add_common(sp) -> None:
     sp.add_argument("--out", help="write the report to this path instead of stdout")
     sp.add_argument("--format", choices=("json", "csv"), default="json")
-    sp.add_argument("--tol", type=float, default=None, help="matching tolerance")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -608,6 +611,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--q1", type=int)
     sp.add_argument("--q2", type=int)
     sp.add_argument("--network", help="JSON network description file")
+    sp.add_argument("--tol", type=float, default=None, help="matching tolerance")
     _add_common(sp)
     sp.set_defaults(func=cmd_spectrum)
 

@@ -202,6 +202,10 @@ class TestTwoChainInfinite:
         (root,) = rep.roots
         assert root == pytest.approx(7.2, abs=1e-10)
         assert sigma_pair(root).sigma_plus == pytest.approx(-0.2, abs=1e-10)
+        for p in range(5, 60):
+            (root,) = find_edge_roots(EdgeFamily.two_chain_infinite_anti(p)).roots
+            exact = p + 1.0 + 1.0 / (p - 1.0)
+            assert abs(root - exact) <= 4 * math.ulp(exact)
 
     def test_symmetric_root(self):
         (root,) = find_edge_roots(EdgeFamily.two_chain_infinite_sym(6)).roots
@@ -257,9 +261,31 @@ class TestRootReports:
         rep = find_edge_roots(EdgeFamily.one_chain_finite(6, 4))
         for root, (lo, hi), its in zip(rep.roots, rep.brackets, rep.iterations):
             assert hi - lo <= 1e-12
+            assert hi - lo <= math.ulp(lo)
             assert lo <= root <= hi
             assert 0 < its <= 200
         assert rep.count_matches
+
+    def test_edge_roots_match_dense_eigenvalues(self):
+        # the graph's eigenvalues in (max(p, 4), p+2] are the family's roots;
+        # the clique value p sits on the open end and is left out
+        cases = [
+            (EdgeFamily.one_chain_finite(p, q), (q,))
+            for p in range(3, 41)
+            for q in range(2, 26)
+        ] + [
+            (EdgeFamily.two_chain_finite(q1, p, q), (q1, q))
+            for p in range(3, 41, 4)
+            for q in range(2, 26, 5)
+            for q1 in (2, q, q + 3)
+        ]
+        for family, qs in cases:
+            p = family.p
+            ev = np.linalg.eigvalsh(_dense_laplacian(p, qs))
+            window = ev[(ev > max(p, 4) + 1e-9) & (ev <= p + 2.0)]
+            roots = np.sort(find_edge_roots(family).roots)
+            assert len(roots) == len(window), family.describe()
+            assert np.all(np.abs(roots - window) <= 1e-14 * np.maximum(1.0, window))
 
     def test_hypothesis_warnings_surface(self):
         rep = find_edge_roots(EdgeFamily.one_chain_finite(4, 4))
@@ -284,6 +310,20 @@ class TestRootReports:
             EdgeFamily("three_chain", 6)
         with pytest.raises(ValueError, match="p"):
             EdgeFamily.one_chain_finite(2, 4)
+
+
+def _dense_laplacian(p, qs):
+    """K_p with a pendant chain of q-1 vertices at clique vertex i for each
+    i, q in enumerate(qs); built here, independently of ``graphs``."""
+    n = p + sum(q - 1 for q in qs)
+    adj = np.zeros((n, n))
+    adj[:p, :p] = 1.0 - np.eye(p)
+    new = p
+    for end, q in enumerate(qs):
+        for _ in range(q - 1):
+            adj[end, new] = adj[new, end] = 1.0
+            end, new = new, new + 1
+    return np.diag(adj.sum(axis=1)) - adj
 
 
 def _window(family, lo, hi):
@@ -339,6 +379,14 @@ class TestInertiaCount:
         inf, fin = EdgeFamily.one_chain_infinite(p), EdgeFamily.one_chain_finite(p, 200)
         assert count_sign_changes_below_band(inf) == count_sign_changes_below_band(fin)
         assert _window(inf, float(p), p + 2.0) == _window(fin, float(p), p + 2.0)
+
+    @pytest.mark.parametrize("x", [4.0, 4.25, 5.5, 9.0, 30.7, 202.0])
+    def test_chain_pivot_stops_on_a_repeat_bit_for_bit(self, x):
+        for q in (2, 3, 4, 10, 57, 400, 2000):
+            d = 1.0 - x
+            for _ in range(q - 2):
+                d = 2.0 - x - 1.0 / d
+            assert _chain_pivot(x, q) == d
 
     def test_non_negative_chain_pivot_raises(self):
         # below the band the recurrence reaches a positive pivot

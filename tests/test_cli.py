@@ -246,9 +246,16 @@ class TestReportContract:
             ["modes", "--p", "3", "--q", "5"],
             ["spectrum", "--q1", "3", "--p", "5", "--q2", "4"],
             ["sweep", "--family", "one-finite", "--p", "3..6", "--q", "2..5"],
+            ["spectrum", "--q1", "4", "--p", "3", "--q2", "8"],
         ):
             _, out = run(argv, capsys)
             assert "np.float64" not in out
+        # root lists in count-mismatch messages carry 12 digits as well
+        _, rep = run_json(["spectrum", "--q1", "4", "--p", "3", "--q2", "8"], capsys)
+        (msg,) = [a["message"] for a in rep["anomalies"] if "found 1 at [" in a["message"]]
+        root = msg.split("found 1 at [")[1].rstrip("]")
+        assert float(root) == pytest.approx(4.4955076566045165, abs=1e-11)
+        assert len(root.replace(".", "").lstrip("0")) <= 12
 
     def test_input_hash_stable(self):
         h1 = cli.input_hash({"p": 6, "q": 4})
@@ -266,6 +273,9 @@ class TestReportContract:
             ["spectrum", "--p", "6", "--q", "4", "--tol=0"],
             ["spectrum", "--p", "6", "--q", "4", "--tol=-1e-8"],
             ["spectrum", "--p", "6", "--q", "4", "--tol=nan"],
+            ["sweep", "--family", "one-finite", "--p", "6", "--q", "4", "--tol", "1e-6"],
+            ["modes", "--p", "6", "--q", "4", "--tol", "1e-6"],
+            ["sweep", "--family", "one-infinite", "--p", "8", "--fit-decay"],
         ],
     )
     def test_usage_errors_exit_one(self, capsys, argv):

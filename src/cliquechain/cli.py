@@ -13,7 +13,6 @@ import io
 import json
 import sys
 import time
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
@@ -83,7 +82,6 @@ def render_csv(report: dict) -> str:
     buf.write("key,value\n")
 
     def walk(prefix, obj):
-        obj = _canon(obj)
         if isinstance(obj, dict):
             for k, v in obj.items():
                 walk(f"{prefix}.{k}" if prefix else k, v)
@@ -94,55 +92,13 @@ def render_csv(report: dict) -> str:
             val = "" if obj is None else obj
             buf.write(f"{prefix},{val}\n")
 
-    walk("", report)
+    walk("", _canon(report))
     return buf.getvalue()
 
 
 def input_hash(params: dict) -> str:
     blob = json.dumps(_canon(params), sort_keys=True).encode()
     return hashlib.sha1(b"blob %d\0" % len(blob) + blob).hexdigest()
-
-
-@dataclass
-class RunReport:
-    command: str
-    parameters: dict
-    payload: dict
-    anomalies: list = field(default_factory=list)  # {kind, severity, message}
-    timings: dict = field(default_factory=dict)  # not serialized: kept
-    # out of the canonical report so identical runs stay byte-identical
-
-    def to_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "parameters": self.parameters,
-            "input_hash": input_hash({"command": self.command, **self.parameters}),
-            "payload": self.payload,
-            "anomalies": self.anomalies,
-        }
-
-    @property
-    def exit_code(self) -> int:
-        return 2 if any(a.get("severity") == "error" for a in self.anomalies) else 0
-
-
-def _emit(report: RunReport, args) -> int:
-    text = (
-        render_csv(report.to_dict())
-        if args.format == "csv"
-        else render_json(report.to_dict())
-    )
-    if args.out:
-        Path(args.out).write_text(text)
-    else:
-        sys.stdout.write(text)
-    if report.timings:
-        print(
-            "timings: "
-            + ", ".join(f"{k}={v:.3f}s" for k, v in report.timings.items()),
-            file=sys.stderr,
-        )
-    return report.exit_code
 
 
 def _anomaly(kind: str, message: str, severity: str = "error") -> dict:
@@ -153,25 +109,28 @@ def _anomaly(kind: str, message: str, severity: str = "error") -> dict:
 # spectrum
 
 
+def _add_graph_flags(sp) -> None:
+    for flag in ("--p", "--q", "--q1", "--q2"):
+        sp.add_argument(flag, type=int)
+
+
 def _build_graph(args) -> GraphSpec:
-    if args.network:
-        doc = Path(args.network).read_text()
-        return build_network(network_from_json(doc))
-    if args.q1 is not None or args.q2 is not None:
-        if args.q1 is None or args.q2 is None or args.p is None:
-            raise SystemExit2("--q1 and --q2 must be given together with --p")
+    """The graph of exactly one of --p --q, --q1 --p --q2 or --network FILE."""
+    given = {k for k in ("p", "q", "q1", "q2", "network") if getattr(args, k, None) is not None}
+    if given == {"network"}:
+        return build_network(network_from_json(Path(args.network).read_text()))
+    if given == {"q1", "p", "q2"}:
         return build_two_chain(args.q1, args.p, args.q2)
-    if args.p is None or args.q is None:
-        raise SystemExit2("specify --p and --q, or --q1 --p --q2, or --network FILE")
-    return build_single_chain(args.p, args.q)
+    if given == {"p", "q"}:
+        return build_single_chain(args.p, args.q)
+    raise SystemExit2("give exactly one graph: --p --q, --q1 --p --q2, or --network FILE")
 
 
 class SystemExit2(Exception):
     """Usage error carrying the message (mapped to exit code 1)."""
 
 
-def cmd_spectrum(args) -> int:
-    t0 = time.perf_counter()
+def cmd_spectrum(args) -> tuple[dict, list]:
     if args.tol is not None and not args.tol > 0:
         raise SystemExit2(f"--tol must be positive, got {args.tol}")
     g = _build_graph(args)
@@ -212,14 +171,7 @@ def cmd_spectrum(args) -> int:
         _anomaly("warning", m, severity="warning")
         for m in list(cls.embedded) + list(cls.warnings)
     ]
-    rep = RunReport(
-        command="spectrum",
-        parameters=_params_of(args),
-        payload=payload,
-        anomalies=anomalies,
-        timings={"total": time.perf_counter() - t0},
-    )
-    return _emit(rep, args)
+    return payload, anomalies
 
 
 def _params_of(args) -> dict:
@@ -264,8 +216,7 @@ def _write_band_samples(path: str, p: int, q: int, n: int = 1200) -> None:
             fh.write(f"{format(float(x), _FLOAT_FMT)},{val}\n")
 
 
-def cmd_reproduce(args) -> int:
-    t0 = time.perf_counter()
+def cmd_reproduce(args) -> tuple[dict, list]:
     rows = []
     if args.table == 1:
         g = build_single_chain(reference.TABLE1_P, reference.TABLE1_Q)
@@ -290,7 +241,7 @@ def cmd_reproduce(args) -> int:
         rows.append(_row("theory_lambda", est.lambda_hat, pub["lambda"], None))
         rows.append(_row("theory_sigma_plus", est.sigma_hat, pub["sigma_plus"], tol))
         rows.append(_row("theory_C0", est.c0_hat, pub["C0"], tol))
-    elif args.table == 3:
+    else:  # table 3
         p, q = reference.TABLE1_P, reference.TABLE1_Q
         roots = find_chain_roots(p, q).roots
         for k, (comp, pub) in enumerate(zip(roots, reference.TABLE3_ZEROS), start=1):
@@ -301,22 +252,13 @@ def cmd_reproduce(args) -> int:
             rows.append(_row(f"ratio_{k}", comp, pub, reference.TABLE3_RATIO_TOL))
         if args.plot_data:
             _write_band_samples(args.plot_data, p, q)
-    else:
-        raise SystemExit2(f"--table must be 1, 2 or 3, got {args.table}")
 
     anomalies = [
         _anomaly("reproduction", f"{r['quantity']}: |diff| {r['abs_diff']} > {r['tol']}")
         for r in rows
         if r["ok"] is False
     ]
-    rep = RunReport(
-        command="reproduce",
-        parameters={"table": args.table},
-        payload={"rows": rows, "reference_version": reference.REFERENCE_VERSION},
-        anomalies=anomalies,
-        timings={"total": time.perf_counter() - t0},
-    )
-    return _emit(rep, args)
+    return {"rows": rows, "reference_version": reference.REFERENCE_VERSION}, anomalies
 
 
 # --------------------------------------------------------------------------
@@ -413,45 +355,31 @@ def _sweep_one_infinite(p: int) -> dict:
     return row
 
 
-_SWEEP_COLUMNS = {
-    "one-finite": (
-        "p,q,analytic_root,oracle_lambda1,abs_diff,root_count,"
-        "root_count_expected,sign_changes_below_band,weyl_min_margin,"
-        "weyl_violations,anomalous"
-    ),
-    "two-finite-equal": (
-        "p,q,root_sym,root_anti,oracle_lambda1,oracle_lambda2,abs_diff,"
-        "anti_above_sym,root_count,root_count_expected,"
-        "sign_changes_below_band,anomalous"
-    ),
-    "one-infinite": (
-        "p,analytic_root,deviation_from_p_plus_1,sigma_plus,root_count,"
-        "root_count_expected,sign_changes_below_band,anomalous"
-    ),
-}
-
-
-def cmd_sweep(args) -> int:
-    t0 = time.perf_counter()
+def cmd_sweep(args) -> tuple[dict, list]:
     ps = _parse_range(args.p_range)
     # rows come out ordered by (p, q): both ranges ascend
-    if args.family == "one-finite":
+    if args.family == "one-infinite":
+        if args.q_range:
+            raise SystemExit2("--q is not read by --family one-infinite")
+        rows = [_sweep_one_infinite(p) for p in ps]
+    elif args.fit_decay:
+        raise SystemExit2("--fit-decay is read by --family one-infinite only")
+    elif args.family == "one-finite":
         qs = _parse_range(args.q_range or "4..8")
         rows = [_sweep_one_finite(p, q) for p in ps for q in qs]
-    elif args.family == "two-finite-equal":
+    else:
         qs = _parse_range(args.q_range or "4..6")
         rows = [_sweep_two_finite_equal(p, q) for p in ps for q in qs]
-    elif args.family == "one-infinite":
-        rows = [_sweep_one_infinite(p) for p in ps]
-    else:
-        raise SystemExit2(f"unknown sweep family {args.family!r}")
+    if not rows:
+        raise SystemExit2("the sweep ranges are empty")
 
-    payload = {
-        "family": args.family,
-        "columns": _SWEEP_COLUMNS[args.family],
-        "rows": rows,
-    }
-    if args.fit_decay and args.family == "one-infinite":
+    payload = {"family": args.family, "columns": ",".join(rows[0]), "rows": rows}
+    anomalies = [
+        _anomaly("mismatch", f"row p={r['p']} q={r.get('q', '-')} anomalous")
+        for r in rows
+        if r["anomalous"]
+    ]
+    if args.fit_decay:
         ps_arr = np.array([r["p"] for r in rows], dtype=float)
         devs = np.array([r["deviation_from_p_plus_1"] for r in rows], dtype=float)
         mask = devs > 0
@@ -466,44 +394,28 @@ def cmd_sweep(args) -> int:
             "fitted_exponent": slope,
             "fitted_prefactor": float(np.exp(y.mean() - slope * x.mean())),
         }
-    anomalies = [
-        _anomaly("mismatch", f"row p={r['p']} q={r.get('q', '-')} anomalous")
-        for r in rows
-        if r["anomalous"]
-    ]
-    if args.fit_decay and args.family == "one-infinite":
-        if payload["decay_fit"]["fitted_exponent"] < 0.8:
+        if slope < 0.8:
             anomalies.append(
                 _anomaly(
                     "mismatch",
                     "edge eigenvalue approaches p+1 slower than ~1/p "
-                    f"(fitted exponent {payload['decay_fit']['fitted_exponent']:.3f})",
+                    f"(fitted exponent {slope:.3f})",
                 )
             )
-    rep = RunReport(
-        command="sweep",
-        parameters=_params_of(args),
-        payload=payload,
-        anomalies=anomalies,
-        timings={"total": time.perf_counter() - t0},
-    )
-    return _emit(rep, args)
+    return payload, anomalies
 
 
 # --------------------------------------------------------------------------
 # bounds and modes
 
 
-def cmd_bounds(args) -> int:
-    t0 = time.perf_counter()
-    if args.q1 is not None and args.q2 is not None:
-        g = build_two_chain(args.q1, args.p, args.q2)
-        wb = weyl_two(args.q1, args.p, args.q2, strict=False)
+def cmd_bounds(args) -> tuple[dict, list]:
+    g = _build_graph(args)
+    gp = g.params
+    if gp["family"] == "single_chain":
+        wb = weyl_one(gp["p"], gp["q"], strict=False)
     else:
-        if args.p is None or args.q is None:
-            raise SystemExit2("specify --p and --q (or --q1/--q2)")
-        g = build_single_chain(args.p, args.q)
-        wb = weyl_one(args.p, args.q, strict=False)
+        wb = weyl_two(gp["q1"], gp["p"], gp["q2"], strict=False)
     spec = eig_sym(laplacian(g))
     violations = wb.check(spec.eigenvalues)
     payload = {
@@ -529,20 +441,10 @@ def cmd_bounds(args) -> int:
         anomalies = [
             _anomaly("bound", v, severity="warning") for v in violations
         ] + [_anomaly("hypotheses", m, severity="warning") for m in wb.outside_hypotheses]
-    rep = RunReport(
-        command="bounds",
-        parameters=_params_of(args),
-        payload=payload,
-        anomalies=anomalies,
-        timings={"total": time.perf_counter() - t0},
-    )
-    return _emit(rep, args)
+    return payload, anomalies
 
 
-def cmd_modes(args) -> int:
-    t0 = time.perf_counter()
-    if args.p is None or args.q is None:
-        raise SystemExit2("specify --p and --q")
+def cmd_modes(args) -> tuple[dict, list]:
     p, q = args.p, args.q
     g = build_single_chain(p, q)
     L = laplacian(g)
@@ -580,14 +482,7 @@ def cmd_modes(args) -> int:
             }
         )
     anomalies = [_anomaly("mismatch", m) for m in edge_rep.anomalies + chain_rep.anomalies]
-    rep = RunReport(
-        command="modes",
-        parameters=_params_of(args),
-        payload=payload,
-        anomalies=anomalies,
-        timings={"total": time.perf_counter() - t0},
-    )
-    return _emit(rep, args)
+    return payload, anomalies
 
 
 # --------------------------------------------------------------------------
@@ -606,10 +501,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("spectrum", help="classify the full spectrum of one graph")
-    sp.add_argument("--p", type=int)
-    sp.add_argument("--q", type=int)
-    sp.add_argument("--q1", type=int)
-    sp.add_argument("--q2", type=int)
+    _add_graph_flags(sp)
     sp.add_argument("--network", help="JSON network description file")
     sp.add_argument("--tol", type=float, default=None, help="matching tolerance")
     _add_common(sp)
@@ -638,10 +530,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_sweep)
 
     sp = sub.add_parser("bounds", help="interval bounds vs the oracle spectrum")
-    sp.add_argument("--p", type=int)
-    sp.add_argument("--q", type=int)
-    sp.add_argument("--q1", type=int)
-    sp.add_argument("--q2", type=int)
+    _add_graph_flags(sp)
     _add_common(sp)
     sp.set_defaults(func=cmd_bounds)
 
@@ -661,13 +550,28 @@ def main(argv: Optional[list[str]] = None) -> int:
         # argparse exits 2 on usage errors; the contract here is 1
         return 1 if e.code not in (0, None) else 0
     try:
-        return args.func(args)
-    except SystemExit2 as e:
+        t0 = time.perf_counter()
+        payload, anomalies = args.func(args)
+        total = time.perf_counter() - t0
+        parameters = _params_of(args)
+        report = {
+            "command": args.command,
+            "parameters": parameters,
+            "input_hash": input_hash({"command": args.command, **parameters}),
+            "payload": payload,
+            "anomalies": anomalies,  # {kind, severity, message}
+        }
+        text = render_csv(report) if args.format == "csv" else render_json(report)
+        if args.out:
+            Path(args.out).write_text(text)
+        else:
+            sys.stdout.write(text)
+    except (SystemExit2, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    except (ValueError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
+    # wall-clock time stays out of the report so identical runs are byte-identical
+    print(f"timings: total={total:.3f}s", file=sys.stderr)
+    return 2 if any(a["severity"] == "error" for a in anomalies) else 0
 
 
 if __name__ == "__main__":

@@ -50,9 +50,6 @@ class GraphSpec:
     params: dict
     labels: tuple[Union[int, str], ...] = ()
 
-    def degree(self, i: int) -> int:
-        return sum(1 for e in self.edges if i in e)
-
     def degrees(self) -> np.ndarray:
         d = np.zeros(self.n, dtype=int)
         for i, j in self.edges:
@@ -85,9 +82,13 @@ class GraphSpec:
         return list(seen)
 
     def validate(self) -> None:
-        """Check structural invariants; raises ValueError on violation."""
+        """Check structural invariants; raises ValueError on violation.
+
+        Every check reads one adjacency list, built once from the edges.
+        """
         if self.n < 1:
             raise ValueError(f"vertex count must be >= 1, got {self.n}")
+        adj: list[set[int]] = [set() for _ in range(self.n)]
         for i, j in self.edges:
             if i == j:
                 raise ValueError(f"self-loop at vertex {i}")
@@ -95,25 +96,28 @@ class GraphSpec:
                 raise ValueError(f"edge ({i},{j}) out of range")
             if i > j:
                 raise ValueError(f"edge ({i},{j}) not stored as ordered pair")
+            adj[i].add(j)
+            adj[j].add(i)
         if len(self.roles) != self.n:
             raise ValueError("one role per vertex required")
-        _check_connected(self.n, self.edges)
+        _check_connected(adj)
         # each clique block induces a complete subgraph
         for cid in self.clique_ids():
             verts = self.clique_vertices(cid)
-            for a in range(len(verts)):
-                for b in range(a + 1, len(verts)):
-                    e = (verts[a], verts[b])
-                    if e not in self.edges:
-                        raise ValueError(f"clique {cid!r} missing edge {e}")
+            for a, v in enumerate(verts):
+                for w in verts[a + 1 :]:
+                    if w not in adj[v]:
+                        raise ValueError(f"clique {cid!r} missing edge {(v, w)}")
         # chain interiors form paths: 2 chain-neighbors inside, 1 at ends
-        chain_ids = {r.chain for r in self.roles if r.kind == "chain"}
-        for ch in chain_ids:
-            verts = [i for i, r in enumerate(self.roles) if r.kind == "chain" and r.chain == ch]
+        chains: dict[str, list[int]] = {}
+        for i, r in enumerate(self.roles):
+            if r.kind == "chain":
+                chains.setdefault(r.chain, []).append(i)
+        for ch, verts in chains.items():
             vset = set(verts)
             ends = 0
             for v in verts:
-                nb = sum(1 for e in self.edges if v in e and (e[0] in vset and e[1] in vset))
+                nb = len(adj[v] & vset)
                 if nb > 2:
                     raise ValueError(f"chain {ch!r} vertex {v} has {nb} chain neighbors")
                 if nb <= 1:
@@ -122,13 +126,10 @@ class GraphSpec:
                 raise ValueError(f"chain {ch!r} does not form a path")
 
 
-def _check_connected(n: int, edges: frozenset[tuple[int, int]]) -> None:
+def _check_connected(adj: list[set[int]]) -> None:
+    n = len(adj)
     if n == 1:
         return
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for i, j in edges:
-        adj[i].append(j)
-        adj[j].append(i)
     seen = [False] * n
     stack = [0]
     seen[0] = True

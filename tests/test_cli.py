@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
 
 import cliquechain.cli as cli
@@ -276,9 +277,69 @@ class TestReportContract:
             ["sweep", "--family", "one-finite", "--p", "6", "--q", "4", "--tol", "1e-6"],
             ["modes", "--p", "6", "--q", "4", "--tol", "1e-6"],
             ["sweep", "--family", "one-infinite", "--p", "8", "--fit-decay"],
+            # flags a command does not read
+            ["sweep", "--family", "one-finite", "--p", "6", "--fit-decay"],
+            ["sweep", "--family", "two-finite-equal", "--p", "6", "--fit-decay"],
+            ["sweep", "--family", "one-infinite", "--p", "6..9", "--q", "4"],
+            # exactly one graph form
+            ["bounds", "--q1", "4", "--q2", "4"],
+            ["bounds", "--p", "6", "--q", "4", "--q1", "3"],
+            ["spectrum", "--network", "F", "--p", "6", "--q", "4"],
+            ["spectrum", "--q1", "3", "--p", "6", "--q2", "4", "--q", "5"],
+            # empty range
+            ["sweep", "--family", "one-finite", "--p", "6..5"],
         ],
     )
-    def test_usage_errors_exit_one(self, capsys, argv):
-        rc = cli.main(argv)
-        capsys.readouterr()
+    def test_usage_errors_exit_one(self, capsys, tmp_path, argv):
+        net = tmp_path / "k10.json"  # F: a valid network file
+        net.write_text(json.dumps(K10_NETWORK_JSON))
+        rc = cli.main([str(net) if a == "F" else a for a in argv])
+        assert capsys.readouterr().out == ""
         assert rc == 1
+
+    def test_canonical_rendering(self):
+        report = {
+            "b": (1, 2.5),
+            "a": {
+                "z": np.array([0.1, -0.0]),
+                "y": np.float64(1 / 3),
+                "x": np.int64(7),
+                "w": np.bool_(True),
+            },
+            "c": [-0.0, None, 1.2345678901234567],
+        }
+        assert cli.render_json(report) == (
+            "{\n"
+            '  "a": {\n'
+            '    "w": true,\n'
+            '    "x": 7,\n'
+            '    "y": 0.333333333333,\n'
+            '    "z": [\n'
+            "      0.1,\n"
+            "      0.0\n"
+            "    ]\n"
+            "  },\n"
+            '  "b": [\n'
+            "    1,\n"
+            "    2.5\n"
+            "  ],\n"
+            '  "c": [\n'
+            "    0.0,\n"
+            "    null,\n"
+            "    1.23456789012\n"
+            "  ]\n"
+            "}\n"
+        )
+        assert cli.render_csv(report) == (
+            "key,value\n"
+            "a.w,True\n"
+            "a.x,7\n"
+            "a.y,0.333333333333\n"
+            "a.z[0],0.1\n"
+            "a.z[1],0.0\n"
+            "b[0],1\n"
+            "b[1],2.5\n"
+            "c[0],0.0\n"
+            "c[1],\n"
+            "c[2],1.23456789012\n"
+        )

@@ -18,7 +18,7 @@ from cliquechain import (
     laplacian,
     network_from_json,
 )
-from cliquechain.graphs import pendant_laplacian_times
+from cliquechain.graphs import GraphSpec, Role, pendant_laplacian_times
 
 K6C4_LAPLACIAN = np.array(
     [
@@ -258,3 +258,32 @@ def test_pendant_laplacian_times_matches_dense(p):
             assert np.array_equal(pendant_laplacian_times(ints, q1, p, q), L @ ints)
             v = rng.standard_normal(g.n)
             assert np.allclose(pendant_laplacian_times(v, q1, p, q), L @ v, rtol=0, atol=1e-12 * p)
+
+
+_K, _C = Role("clique", clique="K"), Role("chain", chain="C")
+_J = Role("junction", clique="K", links=("C",))
+_K3 = [(0, 1), (0, 2), (1, 2)]
+
+
+@pytest.mark.parametrize(
+    "n, edges, roles, message",
+    [
+        (0, [], [], "vertex count must be >= 1, got 0"),
+        (2, [(0, 1), (1, 1)], [_K, _K], "self-loop at vertex 1"),
+        (2, [(0, 1), (1, 5)], [_K, _K], r"edge \(1,5\) out of range"),
+        (2, [(1, 0)], [_K, _K], r"edge \(1,0\) not stored as ordered pair"),
+        (2, [(0, 1)], [_K], "one role per vertex required"),
+        (3, [(0, 1)], [_K] * 3, r"graph is disconnected \(2 of 3 vertices reachable\)"),
+        (3, [(0, 1), (1, 2)], [_K] * 3, r"clique 'K' missing edge \(0, 2\)"),
+        # a star: chain vertex 3 touches chain vertices 4, 5 and 6
+        (7, _K3 + [(2, 3), (3, 4), (3, 5), (3, 6)], [_K, _K, _J] + [_C] * 4,
+         "chain 'C' vertex 3 has 3 chain neighbors"),
+        # a triangle of chain vertices: no end
+        (6, _K3 + [(2, 3), (3, 4), (4, 5), (3, 5)], [_K, _K, _J] + [_C] * 3,
+         "chain 'C' does not form a path"),
+    ],
+)
+def test_validate_rejects(n, edges, roles, message):
+    g = GraphSpec(n=n, edges=frozenset(edges), roles=tuple(roles), params={})
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        g.validate()

@@ -20,7 +20,7 @@ from cliquechain import (
 )
 
 p, q = 6, 10
-fam = EdgeFamily.one_chain_finite(p, q)
+fam = EdgeFamily(p, (q,))
 (lam,) = find_edge_roots(fam).roots
 mode = edge_mode(fam, lam)
 L = laplacian(build_single_chain(p, q))
@@ -39,7 +39,7 @@ for n in range(q - 1):
 print("\nlarge-p behavior of the infinite-chain root:")
 print(f"{'p':>4} {'root':>12} {'root-(p+1)':>12} {'sigma+':>10} {'-1/(p-1)':>10}")
 for pp in (6, 10, 20, 40, 80):
-    (r,) = find_edge_roots(EdgeFamily.one_chain_infinite(pp)).roots
+    (r,) = find_edge_roots(EdgeFamily(pp, (None,))).roots
     est = asymptotic_edge("one_chain", pp)
     print(
         f"{pp:>4} {r:>12.7f} {r - (pp + 1):>12.2e} "

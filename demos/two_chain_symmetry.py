@@ -22,8 +22,8 @@ q, p = 4, 6
 g = build_two_chain(q, p, q)
 evals = eig_sym(laplacian(g)).eigenvalues
 
-(r_s,) = find_edge_roots(EdgeFamily.two_chain_finite_sym(p, q)).roots
-(r_a,) = find_edge_roots(EdgeFamily.two_chain_finite_anti(p, q)).roots
+(r_s,) = find_edge_roots(EdgeFamily(p, (q, q), 1)).roots
+(r_a,) = find_edge_roots(EdgeFamily(p, (q, q), -1)).roots
 print(f"chain({q - 1}) + K{p} + chain({q - 1}):")
 print(f"  symmetric root     {r_s:.12f}   oracle lambda_2 {evals[1]:.12f}")
 print(f"  antisymmetric root {r_a:.12f}   oracle lambda_1 {evals[0]:.12f}")
@@ -33,8 +33,8 @@ d, f_sq, f_aq = two_chain_fin(lams, q, p, q)
 print("\nfactorization D = -F_A * F_S on a few samples:")
 print("  max |D + F_A F_S| =", float(np.max(np.abs(d + f_aq * f_sq))))
 
-ms = edge_mode(EdgeFamily.two_chain_finite_sym(p, q), r_s)
-ma = edge_mode(EdgeFamily.two_chain_finite_anti(p, q), r_a)
+ms = edge_mode(EdgeFamily(p, (q, q), 1), r_s)
+ma = edge_mode(EdgeFamily(p, (q, q), -1), r_a)
 print("\nmode profiles (left chain | clique | right chain):")
 print("  sym :", np.round(ms.profile, 4))
 print("  anti:", np.round(ma.profile, 4))
@@ -44,8 +44,8 @@ print("  antisym plateau C0 =", ma.C0, "(exactly zero)")
 print("\nclosed form for infinite chains, against the asymptotics:")
 print(f"{'p':>4} {'anti root':>12} {'p+1+1/(p-1)':>12} {'sym root':>12} {'p+1-2/(p+1)':>12}")
 for pp in (6, 8, 12, 20):
-    (ra,) = find_edge_roots(EdgeFamily.two_chain_infinite_anti(pp)).roots
-    (rs,) = find_edge_roots(EdgeFamily.two_chain_infinite_sym(pp)).roots
+    (ra,) = find_edge_roots(EdgeFamily(pp, (None, None), -1)).roots
+    (rs,) = find_edge_roots(EdgeFamily(pp, (None, None), 1)).roots
     print(
         f"{pp:>4} {ra:>12.8f} {pp + 1 + 1 / (pp - 1):>12.8f} "
         f"{rs:>12.8f} {asymptotic_edge('two_chain_sym', pp).lambda_hat:>12.8f}"

@@ -164,103 +164,70 @@ def two_chain_fin(
 # edge families and root reports
 
 
-_FAMILY_KINDS = {
-    "one_chain_infinite": 1,
-    "one_chain_finite": 1,
-    "two_chain_infinite_sym": 1,
-    "two_chain_infinite_anti": 1,
-    "two_chain_finite": 2,
-    "two_chain_finite_sym": 1,
-    "two_chain_finite_anti": 1,
-}
-
-
 @dataclass(frozen=True)
 class EdgeFamily:
-    """A graph family together with its edge characteristic function."""
+    """K_p with one or two pendant chains, and its edge characteristic.
 
-    kind: str
+    ``chains`` holds one parameter per chain: q >= 2 for a chain of q-1
+    vertices, or None for an infinite chain.  ``sector`` restricts two equal
+    chains to the eigenvectors that are symmetric (+1) or antisymmetric (-1)
+    under swapping them.
+    """
+
     p: int
-    q: Optional[int] = None
-    q1: Optional[int] = None
-    q2: Optional[int] = None
+    chains: tuple[Optional[int], ...]
+    sector: Optional[int] = None
 
     def __post_init__(self):
-        if self.kind not in _FAMILY_KINDS:
-            raise ValueError(f"unknown edge family kind {self.kind!r}")
+        object.__setattr__(self, "chains", tuple(self.chains))
         if self.p < 3:
             raise ValueError(f"p must be >= 3, got {self.p}")
-        for name in ("q", "q1", "q2"):
-            val = getattr(self, name)
-            if val is not None and val < 2:
-                raise ValueError(f"{name} must be >= 2, got {val}")
+        if len(self.chains) not in (1, 2):
+            raise ValueError(f"one or two chains required, got {len(self.chains)}")
+        for q in self.chains:
+            if q is not None and q < 2:
+                raise ValueError(f"chain parameters must be >= 2, got {q}")
+        if self.sector is not None:
+            if self.sector not in (1, -1):
+                raise ValueError(f"sector must be +1 or -1, got {self.sector}")
+            if len(self.chains) != 2 or self.chains[0] != self.chains[1]:
+                raise ValueError(f"a sector needs two equal chains, got {self.chains}")
 
-    # -- constructors ------------------------------------------------------
-
-    @staticmethod
-    def one_chain_infinite(p: int) -> "EdgeFamily":
-        return EdgeFamily("one_chain_infinite", p)
-
-    @staticmethod
-    def one_chain_finite(p: int, q: int) -> "EdgeFamily":
-        return EdgeFamily("one_chain_finite", p, q=q)
-
-    @staticmethod
-    def two_chain_infinite_sym(p: int) -> "EdgeFamily":
-        return EdgeFamily("two_chain_infinite_sym", p)
-
-    @staticmethod
-    def two_chain_infinite_anti(p: int) -> "EdgeFamily":
-        return EdgeFamily("two_chain_infinite_anti", p)
-
-    @staticmethod
-    def two_chain_finite(q1: int, p: int, q2: int) -> "EdgeFamily":
-        return EdgeFamily("two_chain_finite", p, q1=q1, q2=q2)
-
-    @staticmethod
-    def two_chain_finite_sym(p: int, q: int) -> "EdgeFamily":
-        return EdgeFamily("two_chain_finite_sym", p, q=q)
-
-    @staticmethod
-    def two_chain_finite_anti(p: int, q: int) -> "EdgeFamily":
-        return EdgeFamily("two_chain_finite_anti", p, q=q)
-
-    # -- behavior ----------------------------------------------------------
+    @property
+    def kind(self) -> str:
+        """The family's name in reports, e.g. ``two_chain_finite_sym``."""
+        finite = [q is not None for q in self.chains]
+        length = "finite" if all(finite) else "mixed" if any(finite) else "infinite"
+        sector = {None: "", 1: "_sym", -1: "_anti"}[self.sector]
+        return f"{('one', 'two')[len(self.chains) - 1]}_chain_{length}{sector}"
 
     @property
     def expected_roots(self) -> int:
         """Localized eigenvalues promised in (p, p+2] for this family."""
-        return _FAMILY_KINDS[self.kind]
+        return 1 if self.sector else len(self.chains)
+
+    def _finite_params(self) -> dict:
+        # a sector's two chains are one parameter q
+        names = ("q",) if len(self.chains) == 1 or self.sector else ("q1", "q2")
+        return {n: q for n, q in zip(names, self.chains) if q is not None}
 
     def hypothesis_violations(self) -> tuple[str, ...]:
         """Parameter ranges below which the root-count statements are not
         guaranteed (roots are still searched for and reported)."""
-        out = []
-        k = self.kind
-        if k in ("one_chain_infinite", "two_chain_infinite_sym", "two_chain_infinite_anti"):
+        qs = self._finite_params()
+        if not qs:
             if self.p < 5:
-                out.append(f"{k}: p >= 5 required, got p={self.p}")
-        elif k == "one_chain_finite":
-            if self.p < 6 or self.q < 3:
-                out.append(f"{k}: p >= 6 and q >= 3 required, got p={self.p}, q={self.q}")
-        elif k == "two_chain_finite":
-            if self.p < 6 or self.q1 < 3 or self.q2 < 3:
-                out.append(
-                    f"{k}: p >= 6 and q1, q2 >= 3 required, "
-                    f"got p={self.p}, q1={self.q1}, q2={self.q2}"
-                )
-        else:
-            if self.p < 6 or self.q < 3:
-                out.append(f"{k}: p >= 6 and q >= 3 required, got p={self.p}, q={self.q}")
-        return tuple(out)
+                return (f"{self.kind}: p >= 5 required, got p={self.p}",)
+        elif self.p < 6 or min(qs.values()) < 3:
+            got = "".join(f", {n}={q}" for n, q in qs.items())
+            return (
+                f"{self.kind}: p >= 6 and {', '.join(qs)} >= 3 required, "
+                f"got p={self.p}{got}",
+            )
+        return ()
 
     def describe(self) -> dict:
-        d = {"kind": self.kind, "p": self.p}
-        for name in ("q", "q1", "q2"):
-            val = getattr(self, name)
-            if val is not None:
-                d[name] = val
-        return d
+        return {"kind": self.kind, "p": self.p, **self._finite_params()}
 
 
 @dataclass(frozen=True)
@@ -462,36 +429,31 @@ def _sector_block(family: EdgeFamily, x: float) -> list[list[float]]:
     The clique's p-j-1 difference modes (j junctions) have pivot p - x and
     drop out; the rest of its free vertices is one plateau coordinate, the
     indicator of those m = p - j vertices.  What remains is the quadratic
-    form over the plateau and junction coordinates: 2x2 for one chain, 3x3
-    for two chains, 2x2 in the symmetric sector (both junctions equal) and
-    1x1 in the antisymmetric one (junctions opposite, plateau zero).  The
-    coordinates are indicator vectors, not unit vectors; that congruence
-    keeps the inertia and needs no square roots.
+    form over the plateau and junction coordinates: plateau entry m(j - x),
+    plateau-junction entries -m, junction-junction entry -1 and junction
+    diagonals p - x - 1/d for each chain's last pivot d.  A sector replaces
+    the two junctions by the one coordinate e_1 + s e_2, whose diagonal is
+    2(J - s); the plateau is symmetric under the swap, so the antisymmetric
+    sector drops it.  The coordinates are indicator vectors, not unit
+    vectors; that congruence keeps the inertia and needs no square roots.
     """
-    p = family.p
-
-    def junction(q):  # degree p, minus the eliminated chain's share
-        return p - x - 1.0 / _chain_pivot(x, q)
-
-    if family.kind.startswith("one_chain"):
-        m = p - 1.0
-        return [[m * (1.0 - x), -m], [-m, junction(family.q)]]
-    m = p - 2.0
-    if family.kind == "two_chain_finite":
-        return [
-            [m * (2.0 - x), -m, -m],
-            [-m, junction(family.q1), -1.0],
-            [-m, -1.0, junction(family.q2)],
-        ]
-    a = junction(family.q)
-    if family.kind.endswith("_sym"):
-        return [[m * (2.0 - x), -2.0 * m], [-2.0 * m, 2.0 * (a - 1.0)]]
-    return [[a + 1.0]]
+    p, chains, s = family.p, family.chains, family.sector
+    j = len(chains)
+    m = float(p - j)
+    if s is not None:
+        junction = 2.0 * (p - x - 1.0 / _chain_pivot(x, chains[0]) - s)
+        return [[m * (j - x), -2.0 * m], [-2.0 * m, junction]] if s > 0 else [[junction]]
+    block = [[m * (j - x)] + [-m] * j]
+    for i, q in enumerate(chains, 1):
+        row = [-m] + [-1.0] * j
+        row[i] = p - x - 1.0 / _chain_pivot(x, q)
+        block.append(row)
+    return block
 
 
-def _negative_pivots(block: list[list[float]]) -> int:
-    """Negative pivots of the LDL^T of a small symmetric block, no pivoting."""
-    a = [row[:] for row in block]
+def _negative_pivots(a: list[list[float]]) -> int:
+    """Negative pivots of the LDL^T of a small symmetric block ``a``, no
+    pivoting; the elimination overwrites ``a``."""
     n = len(a)
     neg = 0
     for k in range(n):

@@ -217,6 +217,8 @@ def _write_band_samples(path: str, p: int, q: int, n: int = 1200) -> None:
 
 
 def cmd_reproduce(args) -> tuple[dict, list]:
+    if args.plot_data and args.table != 3:
+        raise SystemExit2("--plot-data is read by --table 3 only")
     rows = []
     if args.table == 1:
         g = build_single_chain(reference.TABLE1_P, reference.TABLE1_Q)
@@ -227,7 +229,7 @@ def cmd_reproduce(args) -> tuple[dict, list]:
             rows.append(_row(f"lambda_{k}", float(comp), pub, reference.TABLE1_TOL))
     elif args.table == 2:
         p, q = reference.TABLE1_P, reference.TABLE1_Q
-        root = find_edge_roots(EdgeFamily.one_chain_finite(p, q)).roots[0]
+        root = find_edge_roots(EdgeFamily(p, (q,))).roots[0]
         sp = sigma_pair(root).sigma_plus
         pub = reference.TABLE2_NUMERICAL
         tol = reference.TABLE2_TOL
@@ -273,7 +275,7 @@ def _parse_range(text: str) -> list[int]:
 
 
 def _sweep_one_finite(p: int, q: int) -> dict:
-    fam = EdgeFamily.one_chain_finite(p, q)
+    fam = EdgeFamily(p, (q,))
     rep = find_edge_roots(fam)
     g = build_single_chain(p, q)
     spec = eig_sym(laplacian(g))
@@ -301,10 +303,10 @@ def _sweep_one_finite(p: int, q: int) -> dict:
 
 
 def _sweep_two_finite_equal(p: int, q: int) -> dict:
-    fam = EdgeFamily.two_chain_finite(q, p, q)
+    fam = EdgeFamily(p, (q, q))
     rep = find_edge_roots(fam)
-    rep_s = find_edge_roots(EdgeFamily.two_chain_finite_sym(p, q))
-    rep_a = find_edge_roots(EdgeFamily.two_chain_finite_anti(p, q))
+    rep_s = find_edge_roots(EdgeFamily(p, (q, q), 1))
+    rep_a = find_edge_roots(EdgeFamily(p, (q, q), -1))
     g = build_two_chain(q, p, q)
     spec = eig_sym(laplacian(g))
     lam1, lam2 = float(spec.eigenvalues[0]), float(spec.eigenvalues[1])
@@ -339,7 +341,7 @@ def _sweep_two_finite_equal(p: int, q: int) -> dict:
 
 
 def _sweep_one_infinite(p: int) -> dict:
-    fam = EdgeFamily.one_chain_infinite(p)
+    fam = EdgeFamily(p, (None,))
     rep = find_edge_roots(fam)
     root = rep.roots[0] if rep.roots else None
     row = {
@@ -449,7 +451,8 @@ def cmd_modes(args) -> tuple[dict, list]:
     g = build_single_chain(p, q)
     L = laplacian(g)
     cmodes = clique_modes(g)
-    edge_rep = find_edge_roots(EdgeFamily.one_chain_finite(p, q))
+    fam = EdgeFamily(p, (q,))
+    edge_rep = find_edge_roots(fam)
     chain_rep = find_chain_roots(p, q)
     payload = {
         "clique_mode_count": len(cmodes),
@@ -458,7 +461,7 @@ def cmd_modes(args) -> tuple[dict, list]:
         "chain_modes": [],
     }
     for r in edge_rep.roots:
-        m = edge_mode(EdgeFamily.one_chain_finite(p, q), r)
+        m = edge_mode(fam, r)
         payload["edge_modes"].append(
             {
                 "lambda": r,

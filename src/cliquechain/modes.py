@@ -18,14 +18,7 @@ from typing import Optional
 import numpy as np
 
 from . import bounds as _bounds
-from .characteristic import (
-    EdgeFamily,
-    find_chain_roots,
-    find_edge_roots,
-    f_one_inf,
-    q_factor,
-    two_chain_inf,
-)
+from .characteristic import EdgeFamily, _sector_block, find_chain_roots, find_edge_roots
 from .graphs import GraphSpec, laplacian, pendant_laplacian_times
 from .jacobi import Spectrum, eig_sym
 from .transfer import sigma_pair
@@ -112,6 +105,20 @@ def _chain_values(a: float, b: float, sp: float, q: int) -> np.ndarray:
     return a * sp**ns + b * sp ** (-ns)
 
 
+def _chain_tail(junction: float, sp: float, q: Optional[int], truncation: Optional[int]):
+    """(a, b, values at chain sites 1, 2, ...) of a chain leaving ``junction``.
+
+    A finite chain carries both end conditions (``_finite_chain_coeffs``);
+    an infinite one decays with b = 0, and its first ``truncation`` sites
+    are listed (None when ``truncation`` is None).
+    """
+    if q is not None:
+        a, b = _finite_chain_coeffs(junction, sp, q)
+        return a, b, _chain_values(a, b, sp, q)
+    tail = None if truncation is None else junction * sp ** np.arange(1, truncation + 1)
+    return junction, 0.0, tail
+
+
 def edge_mode(
     family: EdgeFamily,
     lam: float,
@@ -120,133 +127,56 @@ def edge_mode(
 ) -> EdgeMode:
     """Reconstruct the edge eigenvector for a verified root ``lam``.
 
-    Normalization: junction value C1 = 1 (so C0 = 1/(1-lam) for a single
-    chain, C0 = 2/(2-lam) for the symmetric two-chain mode, C0 = 0 for the
-    antisymmetric one).  Finite families carry the full profile; infinite
-    families get a closed form plus an optional ``truncation``-site vector.
-    Raises ValueError when ``lam`` is not actually a root.
+    Junction values, left to right: 1 for one chain, (sector, 1) in a
+    sector, otherwise the null vector of the plateau/junction block with
+    C1 = 1.  The plateau row then fixes C0 = (sum of junction values)/(j - lam)
+    for j junctions: 1/(1-lam) for one chain, 2/(2-lam) for the symmetric
+    mode, 0 for the antisymmetric one.  Families whose chains are all finite
+    carry the full profile; an infinite chain's tail is listed only up to
+    ``truncation`` sites.  Raises ValueError when ``lam`` is not a root,
+    i.e. when the block leaves a junction residual above ``check_tol``.
     """
-    p = family.p
+    p, chains, j = family.p, family.chains, len(family.chains)
     sp = sigma_pair(lam).sigma_plus
-    kind = family.kind
-
-    if kind == "one_chain_infinite":
-        _check_char_value(f_one_inf(lam, p), lam, family, check_tol)
-        c0 = 1.0 / (1.0 - lam)
-        prof = None
-        if truncation is not None:
-            chain = 1.0 * sp ** np.arange(1, truncation + 1)
-            prof = np.concatenate([np.full(p - 1, c0), [1.0], chain])
-        return EdgeMode(
-            lam=lam, family=family, C0=c0, C1=1.0, C_minus1=None,
-            a=1.0, b=0.0, sigma_plus=sp, profile=prof,
-        )
-
-    if kind == "one_chain_finite":
-        q = family.q
-        c0 = 1.0 / (1.0 - lam)
-        a, b = _finite_chain_coeffs(1.0, sp, q)
-        prof = np.concatenate([np.full(p - 1, c0), [1.0], _chain_values(a, b, sp, q)])
-        res = _profile_residual(lam, prof, 1, p, q)
-        if res > check_tol:
-            raise ValueError(
-                f"lam={lam} is not an edge eigenvalue of {family.describe()} "
-                f"(profile residual {res:.3e})"
-            )
-        return EdgeMode(
-            lam=lam, family=family, C0=c0, C1=1.0, C_minus1=None,
-            a=a, b=b, sigma_plus=sp, profile=prof,
-        )
-
-    if kind in ("two_chain_infinite_sym", "two_chain_infinite_anti"):
-        f_s, f_a = two_chain_inf(lam, p)
-        sym = kind.endswith("sym")
-        _check_char_value(f_s if sym else f_a, lam, family, check_tol)
-        c1 = 1.0
-        c_m1 = 1.0 if sym else -1.0
-        c0 = 2.0 / (2.0 - lam) if sym else 0.0
-        prof = None
-        if truncation is not None:
-            right = c1 * sp ** np.arange(1, truncation + 1)
-            left = c_m1 * sp ** np.arange(truncation, 0, -1)
-            prof = np.concatenate([left, [c_m1], np.full(p - 2, c0), [c1], right])
-        return EdgeMode(
-            lam=lam, family=family, C0=c0, C1=c1, C_minus1=c_m1,
-            a=c1, b=0.0, a_left=c_m1, b_left=0.0, sigma_plus=sp,
-            symmetry="symmetric" if sym else "antisymmetric", profile=prof,
-        )
-
-    # finite two-chain families
-    if kind == "two_chain_finite_sym":
-        q1 = q2 = family.q
-        c1, c_m1 = 1.0, 1.0
-        c0 = 2.0 / (2.0 - lam)
-        symmetry = "symmetric"
-    elif kind == "two_chain_finite_anti":
-        q1 = q2 = family.q
-        c1, c_m1 = 1.0, -1.0
-        c0 = 0.0
-        symmetry = "antisymmetric"
-    else:
-        q1, q2 = family.q1, family.q2
-        c1, c_m1, c0 = _junction_null_vector(lam, q1, p, q2)
-        symmetry = None
-        if q1 == q2:
-            if abs(c1 + c_m1) <= 1e-6 * abs(c1 - c_m1):
-                symmetry = "antisymmetric"
-            elif abs(c1 - c_m1) <= 1e-6 * abs(c1 + c_m1):
-                symmetry = "symmetric"
-
-    a2, b2 = _finite_chain_coeffs(c1, sp, q2)
-    a1, b1 = _finite_chain_coeffs(c_m1, sp, q1)
-    right = _chain_values(a2, b2, sp, q2)
-    left = _chain_values(a1, b1, sp, q1)[::-1]  # graph order: free end first
-    prof = np.concatenate([left, [c_m1], np.full(p - 2, c0), [c1], right])
-    res = _profile_residual(lam, prof, q1, p, q2)
+    block = np.array(_sector_block(EdgeFamily(p, chains), lam))
+    if j == 1:
+        junctions = (1.0,)
+    elif family.sector:
+        junctions = (float(family.sector), 1.0)
+    else:  # the largest cross product of two block rows spans its null space
+        cross = np.cross(block[[0, 0, 1]], block[[1, 2, 2]])
+        _, c_m1, c1 = cross[int(np.argmax(np.sum(np.abs(cross), axis=1)))]
+        scale = c1 if abs(c1) > 1e-9 * abs(c_m1) else c_m1
+        junctions = (float(c_m1 / scale), float(c1 / scale))
+    c0 = sum(junctions) / (j - lam) + 0.0  # + 0.0: the antisymmetric -0.0 is 0
+    coords = np.array((c0, *junctions))
+    res = float(np.max(np.abs(block @ coords)) / np.max(np.abs(coords)))
     if res > check_tol:
         raise ValueError(
             f"lam={lam} is not an edge eigenvalue of {family.describe()} "
-            f"(profile residual {res:.3e})"
+            f"(junction residual {res:.3e})"
         )
+
+    tails = [_chain_tail(c, sp, q, truncation) for c, q in zip(junctions, chains)]
+    prof = None
+    if all(t[2] is not None for t in tails):
+        parts = [np.full(p - j, c0), [junctions[-1]], tails[-1][2]]
+        if j == 2:  # graph order: the left chain's free end first
+            parts = [tails[0][2][::-1], [junctions[0]]] + parts
+        prof = np.concatenate(parts)
+    symmetry = None
+    if j == 2 and chains[0] == chains[1]:
+        c_m1, c1 = junctions
+        if abs(c1 + c_m1) <= 1e-6 * abs(c1 - c_m1):
+            symmetry = "antisymmetric"
+        elif abs(c1 - c_m1) <= 1e-6 * abs(c1 + c_m1):
+            symmetry = "symmetric"
+    a_left, b_left, _ = tails[0] if j == 2 else (None, None, None)
     return EdgeMode(
-        lam=lam, family=family, C0=c0, C1=c1, C_minus1=c_m1,
-        a=a2, b=b2, a_left=a1, b_left=b1, sigma_plus=sp,
-        symmetry=symmetry, profile=prof,
+        lam=lam, family=family, C0=c0, C1=junctions[-1],
+        C_minus1=junctions[0] if j == 2 else None, a=tails[-1][0], b=tails[-1][1],
+        a_left=a_left, b_left=b_left, sigma_plus=sp, symmetry=symmetry, profile=prof,
     )
-
-
-def _check_char_value(val: float, lam: float, family: EdgeFamily, tol: float) -> None:
-    if abs(val) > tol * max(1.0, family.p):
-        raise ValueError(
-            f"lam={lam} is not a root of {family.describe()} "
-            f"(characteristic value {val:.3e})"
-        )
-
-
-def _junction_null_vector(lam: float, q1: int, p: int, q2: int) -> tuple[float, float, float]:
-    """Null vector (C1, C_minus1, C0) of the two-chain junction system,
-    normalized to C1 = 1 (or C_minus1 = 1 when C1 nearly vanishes)."""
-    qa = q_factor(lam, p, q2)
-    qb = q_factor(lam, p, q1)
-    m = np.array(
-        [
-            [1.0, 1.0, lam - 2.0],
-            [qa, 1.0, p - 2.0],
-            [1.0, qb, p - 2.0],
-        ]
-    )
-    # adjugate columns span the null space when det ~ 0
-    adj = np.empty((3, 3))
-    for i in range(3):
-        for j in range(3):
-            minor = np.delete(np.delete(m, i, axis=0), j, axis=1)
-            adj[j, i] = (-1.0) ** (i + j) * (
-                minor[0, 0] * minor[1, 1] - minor[0, 1] * minor[1, 0]
-            )
-    k = int(np.argmax(np.sum(np.abs(adj), axis=0)))
-    c1, c_m1, c0 = adj[:, k]
-    scale = c1 if abs(c1) > 1e-9 * abs(c_m1) else c_m1
-    return float(c1 / scale), float(c_m1 / scale), float(c0 / scale)
 
 
 def chain_mode(p: int, q: int, lam: float, check_tol: float = _ROOT_CHECK_TOL) -> np.ndarray:
@@ -410,19 +340,19 @@ def classify_spectrum(g: GraphSpec, tol: float = MATCH_TOL) -> SpectralClassific
     weyl = None
     if fam_tag == "single_chain":
         p, q = g.params["p"], g.params["q"]
-        rep = find_edge_roots(EdgeFamily.one_chain_finite(p, q))
+        rep = find_edge_roots(EdgeFamily(p, (q,)))
         anomalies.extend(rep.anomalies)
         warnings.extend(rep.warnings)
         edge_values.extend(_match_edges(evals, taken, rep.roots, ["edge"], tol, anomalies, "K"))
         weyl = _bounds.weyl_one(p, q, strict=False)
     elif fam_tag == "two_chain":
         p, q1, q2 = g.params["p"], g.params["q1"], g.params["q2"]
-        rep = find_edge_roots(EdgeFamily.two_chain_finite(q1, p, q2))
+        rep = find_edge_roots(EdgeFamily(p, (q1, q2)))
         anomalies.extend(rep.anomalies)
         warnings.extend(rep.warnings)
         if q1 == q2:
-            rep_s = find_edge_roots(EdgeFamily.two_chain_finite_sym(p, q1))
-            rep_a = find_edge_roots(EdgeFamily.two_chain_finite_anti(p, q1))
+            rep_s = find_edge_roots(EdgeFamily(p, (q1, q1), 1))
+            rep_a = find_edge_roots(EdgeFamily(p, (q1, q1), -1))
             labels = []
             for r in rep.roots:
                 if rep_a.roots and min(abs(r - x) for x in rep_a.roots) <= tol:

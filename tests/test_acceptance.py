@@ -60,12 +60,12 @@ def sweeps():
     t0 = time.perf_counter()
     one = {}
     for p, q in ONE_CHAIN_GRID:
-        rep = find_edge_roots(EdgeFamily.one_chain_finite(p, q))
+        rep = find_edge_roots(EdgeFamily(p, (q,)))
         evals = eig_sym(laplacian(build_single_chain(p, q))).eigenvalues
         one[(p, q)] = (rep, evals)
     two = {}
     for q1, p, q2 in TWO_CHAIN_GRID:
-        rep = find_edge_roots(EdgeFamily.two_chain_finite(q1, p, q2))
+        rep = find_edge_roots(EdgeFamily(p, (q1, q2)))
         evals = eig_sym(laplacian(build_two_chain(q1, p, q2))).eigenvalues
         two[(q1, p, q2)] = (rep, evals)
     elapsed = time.perf_counter() - t0
@@ -111,7 +111,7 @@ def test_criterion_02_table3_chain_zeros():
 
 
 def test_criterion_03_table2_edge_summary():
-    (root,) = find_edge_roots(EdgeFamily.one_chain_finite(6, 4)).roots
+    (root,) = find_edge_roots(EdgeFamily(6, (4,))).roots
     sp = sigma_pair(root).sigma_plus
     c0 = 1.0 / (1.0 - root)
     est = asymptotic_edge("one_chain", 6)
@@ -157,13 +157,13 @@ def test_criterion_05_root_counts(sweeps):
         len(rep.roots) == 2 for rep, _ in two.values()
     )
     below = max(
-        count_sign_changes_below_band(EdgeFamily.one_chain_finite(p, q))
+        count_sign_changes_below_band(EdgeFamily(p, (q,)))
         for p, q in one
     )
     below = max(
         below,
         max(
-            count_sign_changes_below_band(EdgeFamily.two_chain_finite(q1, p, q2))
+            count_sign_changes_below_band(EdgeFamily(p, (q1, q2)))
             for q1, p, q2 in two
         ),
     )
@@ -232,11 +232,11 @@ def test_criterion_07_two_chain_symmetry(sweeps):
     reflect_ok, order_ok = True, True
     for p in range(6, 11):
         for q in range(3, 7):
-            (r_s,) = find_edge_roots(EdgeFamily.two_chain_finite_sym(p, q)).roots
-            (r_a,) = find_edge_roots(EdgeFamily.two_chain_finite_anti(p, q)).roots
+            (r_s,) = find_edge_roots(EdgeFamily(p, (q, q), 1)).roots
+            (r_a,) = find_edge_roots(EdgeFamily(p, (q, q), -1)).roots
             order_ok &= r_a > r_s
-            ms = edge_mode(EdgeFamily.two_chain_finite_sym(p, q), r_s)
-            ma = edge_mode(EdgeFamily.two_chain_finite_anti(p, q), r_a)
+            ms = edge_mode(EdgeFamily(p, (q, q), 1), r_s)
+            ma = edge_mode(EdgeFamily(p, (q, q), -1), r_a)
             reflect_ok &= np.array_equal(ms.profile, ms.profile[::-1])
             reflect_ok &= np.array_equal(ma.profile, -ma.profile[::-1])
     report(
@@ -251,7 +251,7 @@ def test_criterion_07_two_chain_symmetry(sweeps):
 def test_criterion_08_antisymmetric_closed_form():
     worst = 0.0
     for p in range(5, 41):
-        (root,) = find_edge_roots(EdgeFamily.two_chain_infinite_anti(p)).roots
+        (root,) = find_edge_roots(EdgeFamily(p, (None, None), -1)).roots
         worst = max(worst, abs(root - (p + 1.0 + 1.0 / (p - 1.0))))
     report(
         8,

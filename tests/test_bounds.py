@@ -126,7 +126,7 @@ class TestAsymptotics:
     def test_one_chain_deviation_bounded_by_c_over_p(self):
         devs = []
         for p in range(6, 61):
-            (root,) = find_edge_roots(EdgeFamily.one_chain_infinite(p)).roots
+            (root,) = find_edge_roots(EdgeFamily(p, (None,))).roots
             devs.append((p, abs(root - (p + 1.0))))
         c = max(p * d for p, d in devs)
         assert c <= 0.25  # the 1/p envelope holds with a small constant
@@ -136,5 +136,5 @@ class TestAsymptotics:
 
     def test_two_chain_anti_exact_identity(self):
         for p in (5, 9, 17, 33, 40):
-            (root,) = find_edge_roots(EdgeFamily.two_chain_infinite_anti(p)).roots
+            (root,) = find_edge_roots(EdgeFamily(p, (None, None), -1)).roots
             assert abs(root - (p + 1.0 + 1.0 / (p - 1.0))) <= 1e-10

@@ -53,23 +53,23 @@ class TestOneChainFunctions:
                 fn(4.0)
 
     def test_infinite_root_p6(self):
-        rep = find_edge_roots(EdgeFamily.one_chain_infinite(6))
+        rep = find_edge_roots(EdgeFamily(6, (None,)))
         (root,) = rep.roots
         assert 6.0 < root < 8.0
         assert root == pytest.approx(7.035533905932738, abs=1e-11)
 
     def test_infinite_root_is_large_q_limit(self):
         # oracle route: lambda_1 of the finite graph converges to the root
-        root = find_edge_roots(EdgeFamily.one_chain_infinite(6)).roots[0]
+        root = find_edge_roots(EdgeFamily(6, (None,))).roots[0]
         lam1 = eig_sym(laplacian(build_single_chain(6, 40))).eigenvalues[0]
         assert abs(root - lam1) < 1e-9
 
     def test_finite_root_matches_reference(self):
-        (root,) = find_edge_roots(EdgeFamily.one_chain_finite(6, 4)).roots
+        (root,) = find_edge_roots(EdgeFamily(6, (4,))).roots
         assert abs(root - 7.0355) < 1e-3
 
     def test_finite_root_matches_oracle_p10(self):
-        (root,) = find_edge_roots(EdgeFamily.one_chain_finite(10, 4)).roots
+        (root,) = find_edge_roots(EdgeFamily(10, (4,))).roots
         lam1 = eig_sym(laplacian(build_single_chain(10, 4))).eigenvalues[0]
         assert abs(root - lam1) < 1e-9
 
@@ -198,17 +198,17 @@ class TestTwoChainInfinite:
     def test_antisymmetric_root_closed_form(self):
         # substituting sigma = p+1-lam into the transfer quadratic gives
         # lam = p + 1 + 1/(p-1)
-        rep = find_edge_roots(EdgeFamily.two_chain_infinite_anti(6))
+        rep = find_edge_roots(EdgeFamily(6, (None, None), -1))
         (root,) = rep.roots
         assert root == pytest.approx(7.2, abs=1e-10)
         assert sigma_pair(root).sigma_plus == pytest.approx(-0.2, abs=1e-10)
         for p in range(5, 60):
-            (root,) = find_edge_roots(EdgeFamily.two_chain_infinite_anti(p)).roots
+            (root,) = find_edge_roots(EdgeFamily(p, (None, None), -1)).roots
             exact = p + 1.0 + 1.0 / (p - 1.0)
             assert abs(root - exact) <= 4 * math.ulp(exact)
 
     def test_symmetric_root(self):
-        (root,) = find_edge_roots(EdgeFamily.two_chain_infinite_sym(6)).roots
+        (root,) = find_edge_roots(EdgeFamily(6, (None, None), 1)).roots
         assert root == pytest.approx(6.861001748086121, abs=1e-10)
         assert abs(root - 6.86) < 0.01
 
@@ -227,14 +227,14 @@ class TestTwoChainFinite:
         assert np.max(np.abs(d - (-(f_aq) * f_sq))) < 1e-10
 
     def test_roots_match_oracle(self):
-        rep = find_edge_roots(EdgeFamily.two_chain_finite(4, 6, 4))
+        rep = find_edge_roots(EdgeFamily(6, (4, 4)))
         evals = eig_sym(laplacian(build_two_chain(4, 6, 4))).eigenvalues
         roots = sorted(rep.roots)
         assert abs(roots[1] - evals[0]) < 1e-9
         assert abs(roots[0] - evals[1]) < 1e-9
 
     def test_two_roots_unequal_chains(self):
-        rep = find_edge_roots(EdgeFamily.two_chain_finite(3, 7, 5))
+        rep = find_edge_roots(EdgeFamily(7, (3, 5)))
         assert len(rep.roots) == 2
         assert rep.anomalies == ()
         assert rep.roots == pytest.approx(
@@ -242,23 +242,23 @@ class TestTwoChainFinite:
         )
 
     def test_sym_anti_label_ordering(self):
-        rep_s = find_edge_roots(EdgeFamily.two_chain_finite_sym(6, 4))
-        rep_a = find_edge_roots(EdgeFamily.two_chain_finite_anti(6, 4))
+        rep_s = find_edge_roots(EdgeFamily(6, (4, 4), 1))
+        rep_a = find_edge_roots(EdgeFamily(6, (4, 4), -1))
         assert rep_a.roots[0] > rep_s.roots[0]
-        both = find_edge_roots(EdgeFamily.two_chain_finite(4, 6, 4)).roots
+        both = find_edge_roots(EdgeFamily(6, (4, 4))).roots
         assert sorted(both) == pytest.approx(
             sorted([rep_s.roots[0], rep_a.roots[0]]), abs=1e-10
         )
 
     def test_finite_antisym_tends_to_infinite(self):
-        (fin,) = find_edge_roots(EdgeFamily.two_chain_finite_anti(6, 30)).roots
-        (inf_,) = find_edge_roots(EdgeFamily.two_chain_infinite_anti(6)).roots
+        (fin,) = find_edge_roots(EdgeFamily(6, (30, 30), -1)).roots
+        (inf_,) = find_edge_roots(EdgeFamily(6, (None, None), -1)).roots
         assert abs(fin - inf_) < 1e-12
 
 
 class TestRootReports:
     def test_edge_bracket_soundness(self):
-        rep = find_edge_roots(EdgeFamily.one_chain_finite(6, 4))
+        rep = find_edge_roots(EdgeFamily(6, (4,)))
         for root, (lo, hi), its in zip(rep.roots, rep.brackets, rep.iterations):
             assert hi - lo <= 1e-12
             assert hi - lo <= math.ulp(lo)
@@ -270,11 +270,11 @@ class TestRootReports:
         # the graph's eigenvalues in (max(p, 4), p+2] are the family's roots;
         # the clique value p sits on the open end and is left out
         cases = [
-            (EdgeFamily.one_chain_finite(p, q), (q,))
+            (EdgeFamily(p, (q,)), (q,))
             for p in range(3, 41)
             for q in range(2, 26)
         ] + [
-            (EdgeFamily.two_chain_finite(q1, p, q), (q1, q))
+            (EdgeFamily(p, (q1, q)), (q1, q))
             for p in range(3, 41, 4)
             for q in range(2, 26, 5)
             for q1 in (2, q, q + 3)
@@ -287,29 +287,76 @@ class TestRootReports:
             assert len(roots) == len(window), family.describe()
             assert np.all(np.abs(roots - window) <= 1e-14 * np.maximum(1.0, window))
 
-    def test_hypothesis_warnings_surface(self):
-        rep = find_edge_roots(EdgeFamily.one_chain_finite(4, 4))
-        assert any("p >= 6" in w for w in rep.warnings)
-
     @pytest.mark.parametrize(
         "family",
         [
-            EdgeFamily.one_chain_infinite(8),
-            EdgeFamily.one_chain_finite(8, 5),
-            EdgeFamily.two_chain_infinite_sym(8),
-            EdgeFamily.two_chain_infinite_anti(8),
-            EdgeFamily.two_chain_finite(4, 8, 6),
+            EdgeFamily(8, (None,)),
+            EdgeFamily(8, (5,)),
+            EdgeFamily(8, (None, None), 1),
+            EdgeFamily(8, (None, None), -1),
+            EdgeFamily(8, (4, 6)),
         ],
         ids=lambda f: f.kind,
     )
     def test_no_roots_below_band_gap(self, family):
         assert count_sign_changes_below_band(family) == 0
 
-    def test_family_validation(self):
-        with pytest.raises(ValueError, match="unknown edge family"):
-            EdgeFamily("three_chain", 6)
-        with pytest.raises(ValueError, match="p"):
-            EdgeFamily.one_chain_finite(2, 4)
+    @pytest.mark.parametrize(
+        "p, chains, sector",
+        [
+            (6, (4, 4, 4), None),  # three chains
+            (6, (), None),  # no chains
+            (6, (4,), 1),  # a sector needs two chains
+            (6, (4, 5), -1),  # ... and equal ones
+            (6, (4, 4), 2),  # a sector is +1 or -1
+            (6, (4, 4), 0),
+            (6, (1,), None),  # chain parameters are >= 2
+            (6, (None, 1), None),
+            (2, (4,), None),  # p >= 3
+        ],
+        ids=[
+            "three_chains", "no_chain", "sector_one_chain", "sector_unequal_chains",
+            "sector_2", "sector_0", "q_1", "mixed_q_1", "p_2",
+        ],
+    )
+    def test_family_validation(self, p, chains, sector):
+        with pytest.raises(ValueError):
+            EdgeFamily(p, chains, sector)
+
+    @pytest.mark.parametrize(
+        "family, warnings, anomalies",
+        [
+            (
+                EdgeFamily(4, (4,)),
+                ("one_chain_finite: p >= 6 and q >= 3 required, got p=4, q=4",),
+                (),
+            ),
+            (
+                EdgeFamily(5, (2, 4)),
+                ("two_chain_finite: p >= 6 and q1, q2 >= 3 required, got p=5, q1=2, q2=4",),
+                (),
+            ),
+            (EdgeFamily(4, (None,)), ("one_chain_infinite: p >= 5 required, got p=4",), ()),
+            (
+                EdgeFamily(3, (2,)),
+                ("one_chain_finite: p >= 6 and q >= 3 required, got p=3, q=2",),
+                ("one_chain_finite p=3: expected 1 root(s) in (p, p+2], found 0 at []",),
+            ),
+        ],
+        ids=["one_finite", "two_finite", "one_infinite", "no_root"],
+    )
+    def test_report_message_text(self, family, warnings, anomalies):
+        # these strings reach the CLI reports verbatim
+        rep = find_edge_roots(family)
+        assert rep.warnings == warnings
+        assert rep.anomalies == anomalies
+
+    @pytest.mark.parametrize("p", [5, 8, 30])
+    def test_two_chains_hold_both_sector_roots(self, p):
+        for q in (None, 6):
+            sym, anti = (find_edge_roots(EdgeFamily(p, (q, q), s)).roots for s in (1, -1))
+            both = find_edge_roots(EdgeFamily(p, (q, q))).roots
+            assert both == pytest.approx(sym + anti, rel=1e-14)
 
 
 def _dense_laplacian(p, qs):
@@ -332,13 +379,13 @@ def _window(family, lo, hi):
 
 
 ALL_KINDS = [
-    lambda p: EdgeFamily.one_chain_infinite(p),
-    lambda p: EdgeFamily.one_chain_finite(p, 4),
-    lambda p: EdgeFamily.two_chain_infinite_sym(p),
-    lambda p: EdgeFamily.two_chain_infinite_anti(p),
-    lambda p: EdgeFamily.two_chain_finite(3, p, 7),
-    lambda p: EdgeFamily.two_chain_finite_sym(p, 5),
-    lambda p: EdgeFamily.two_chain_finite_anti(p, 5),
+    lambda p: EdgeFamily(p, (None,)),
+    lambda p: EdgeFamily(p, (4,)),
+    lambda p: EdgeFamily(p, (None, None), 1),
+    lambda p: EdgeFamily(p, (None, None), -1),
+    lambda p: EdgeFamily(p, (3, 7)),
+    lambda p: EdgeFamily(p, (5, 5), 1),
+    lambda p: EdgeFamily(p, (5, 5), -1),
 ]
 
 
@@ -352,9 +399,9 @@ class TestInertiaCount:
     )
     def test_matches_dense_counts(self, p, qs):
         if len(qs) == 1:
-            fam, g = EdgeFamily.one_chain_finite(p, qs[0]), build_single_chain(p, qs[0])
+            fam, g = EdgeFamily(p, (qs[0],)), build_single_chain(p, qs[0])
         else:
-            fam, g = EdgeFamily.two_chain_finite(qs[0], p, qs[1]), build_two_chain(qs[0], p, qs[1])
+            fam, g = EdgeFamily(p, (qs[0], qs[1])), build_two_chain(qs[0], p, qs[1])
         ev = np.linalg.eigvalsh(laplacian(g))
         # (4, p) less round-off: the clique modes sit at p
         assert count_sign_changes_below_band(fam) == np.sum((ev > 4.0) & (ev < p - 1e-9))
@@ -376,9 +423,16 @@ class TestInertiaCount:
 
     @pytest.mark.parametrize("p", [5, 6, 12, 40])
     def test_infinite_chain_is_the_long_chain_limit(self, p):
-        inf, fin = EdgeFamily.one_chain_infinite(p), EdgeFamily.one_chain_finite(p, 200)
+        inf, fin = EdgeFamily(p, (None,)), EdgeFamily(p, (200,))
         assert count_sign_changes_below_band(inf) == count_sign_changes_below_band(fin)
         assert _window(inf, float(p), p + 2.0) == _window(fin, float(p), p + 2.0)
+
+    @pytest.mark.parametrize("chains", [(None, 5), (None, None)])
+    def test_two_infinite_chains_are_the_long_chain_limit(self, chains):
+        long = tuple(200 if q is None else q for q in chains)
+        for p in (6, 12):
+            roots = find_edge_roots(EdgeFamily(p, chains)).roots
+            assert roots == pytest.approx(find_edge_roots(EdgeFamily(p, long)).roots, abs=1e-12)
 
     @pytest.mark.parametrize("x", [4.0, 4.25, 5.5, 9.0, 30.7, 202.0])
     def test_chain_pivot_stops_on_a_repeat_bit_for_bit(self, x):
@@ -393,4 +447,4 @@ class TestInertiaCount:
         with pytest.raises(ValueError, match="not negative"):
             _chain_pivot(0.5, 5)
         with pytest.raises(ValueError, match="not negative"):
-            _sector_count_below(EdgeFamily.one_chain_finite(6, 5), 3.0)
+            _sector_count_below(EdgeFamily(6, (5,)), 3.0)

@@ -288,6 +288,9 @@ class TestReportContract:
             ["spectrum", "--q1", "3", "--p", "6", "--q2", "4", "--q", "5"],
             # empty range
             ["sweep", "--family", "one-finite", "--p", "6..5"],
+            # --plot-data is read by --table 3 only
+            ["reproduce", "--table", "1", "--plot-data", "pd.csv"],
+            ["reproduce", "--table", "2", "--plot-data", "pd.csv"],
         ],
     )
     def test_usage_errors_exit_one(self, capsys, tmp_path, argv):

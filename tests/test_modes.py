@@ -104,15 +104,15 @@ class TestCliqueModes:
 
 class TestEdgeModes:
     def test_reference_profile(self):
-        (root,) = find_edge_roots(EdgeFamily.one_chain_finite(6, 4)).roots
-        m = edge_mode(EdgeFamily.one_chain_finite(6, 4), root)
+        (root,) = find_edge_roots(EdgeFamily(6, (4,))).roots
+        m = edge_mode(EdgeFamily(6, (4,)), root)
         prof = m.profile / np.linalg.norm(m.profile)
         if prof[5] * TABLE1_V1[5] < 0:
             prof = -prof
         assert np.max(np.abs(prof - TABLE1_V1)) < 1e-4
 
     def test_structure_invariants(self):
-        fam = EdgeFamily.one_chain_finite(6, 4)
+        fam = EdgeFamily(6, (4,))
         (root,) = find_edge_roots(fam).roots
         m = edge_mode(fam, root)
         L = laplacian(build_single_chain(6, 4))
@@ -125,7 +125,7 @@ class TestEdgeModes:
         assert m.b / m.a == pytest.approx(m.sigma_plus**7, rel=1e-12)
 
     def test_infinite_mode_summary(self):
-        fam = EdgeFamily.one_chain_infinite(6)
+        fam = EdgeFamily(6, (None,))
         (root,) = find_edge_roots(fam).roots
         m = edge_mode(fam, root, truncation=10)
         assert m.C0 == pytest.approx(-0.166, abs=0.01)
@@ -135,7 +135,7 @@ class TestEdgeModes:
         assert chain == pytest.approx([m.sigma_plus**n for n in range(1, 11)])
 
     def test_two_chain_antisymmetric_closed_form(self):
-        fam = EdgeFamily.two_chain_infinite_anti(6)
+        fam = EdgeFamily(6, (None, None), -1)
         m = edge_mode(fam, 7.2, truncation=6)
         assert m.C0 == 0.0
         assert m.sigma_plus == pytest.approx(-0.2, abs=1e-12)
@@ -144,11 +144,11 @@ class TestEdgeModes:
 
     def test_two_chain_finite_modes_and_reflection(self):
         p, q = 6, 4
-        rep_s = find_edge_roots(EdgeFamily.two_chain_finite_sym(p, q))
-        rep_a = find_edge_roots(EdgeFamily.two_chain_finite_anti(p, q))
+        rep_s = find_edge_roots(EdgeFamily(p, (q, q), 1))
+        rep_a = find_edge_roots(EdgeFamily(p, (q, q), -1))
         L = laplacian(build_two_chain(q, p, q))
-        ms = edge_mode(EdgeFamily.two_chain_finite_sym(p, q), rep_s.roots[0])
-        ma = edge_mode(EdgeFamily.two_chain_finite_anti(p, q), rep_a.roots[0])
+        ms = edge_mode(EdgeFamily(p, (q, q), 1), rep_s.roots[0])
+        ma = edge_mode(EdgeFamily(p, (q, q), -1), rep_a.roots[0])
         assert residual(L, rep_s.roots[0], ms.profile) <= 1e-9
         assert residual(L, rep_a.roots[0], ma.profile) <= 1e-9
         # reflection identity holds exactly by construction
@@ -160,7 +160,7 @@ class TestEdgeModes:
 
     def test_generic_two_chain_null_vector_route(self):
         p, q1, q2 = 7, 3, 5
-        fam = EdgeFamily.two_chain_finite(q1, p, q2)
+        fam = EdgeFamily(p, (q1, q2))
         rep = find_edge_roots(fam)
         L = laplacian(build_two_chain(q1, p, q2))
         for r in rep.roots:
@@ -168,11 +168,20 @@ class TestEdgeModes:
             assert residual(L, r, m.profile) <= 1e-9
             assert m.C1 == 1.0
 
+    def test_truncated_infinite_chain_profile(self):
+        # an infinite chain's first 59 sites, on a graph whose chain has 59
+        fam = EdgeFamily(8, (None, 5))
+        L = laplacian(build_two_chain(60, 8, 5))
+        for r in find_edge_roots(fam).roots:
+            m = edge_mode(fam, r, truncation=59)
+            assert residual(L, r, m.profile) <= 1e-9
+            assert m.b_left == 0.0 and m.C1 == 1.0
+
     def test_geometric_decay_envelope(self):
         # ratio of consecutive chain values approaches sigma+, with the
         # correction controlled by the reflected component
         for p, q in [(6, 4), (6, 8), (9, 6), (12, 8)]:
-            fam = EdgeFamily.one_chain_finite(p, q)
+            fam = EdgeFamily(p, (q,))
             (root,) = find_edge_roots(fam).roots
             m = edge_mode(fam, root)
             chain = m.profile[p - 1 :]  # v_0 .. v_{q-1}
@@ -183,7 +192,7 @@ class TestEdgeModes:
 
     def test_orthogonal_to_clique_modes(self):
         g = build_single_chain(6, 4)
-        fam = EdgeFamily.one_chain_finite(6, 4)
+        fam = EdgeFamily(6, (4,))
         (root,) = find_edge_roots(fam).roots
         m = edge_mode(fam, root)
         chain_roots = find_chain_roots(6, 4).roots
@@ -193,11 +202,13 @@ class TestEdgeModes:
                 assert abs(float(cv @ v)) <= 1e-10
 
     def test_non_root_rejected(self):
-        fam = EdgeFamily.one_chain_finite(6, 4)
+        fam = EdgeFamily(6, (4,))
         with pytest.raises(ValueError, match="not an edge eigenvalue"):
             edge_mode(fam, 7.5)
-        with pytest.raises(ValueError, match="not a root"):
-            edge_mode(EdgeFamily.one_chain_infinite(6), 7.5)
+        with pytest.raises(ValueError, match="not an edge eigenvalue"):
+            edge_mode(EdgeFamily(6, (None,)), 7.5)
+        with pytest.raises(ValueError, match="not an edge eigenvalue"):
+            edge_mode(EdgeFamily(7, (3, 5)), 8.0)
 
 
 class TestChainModes:
